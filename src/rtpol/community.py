@@ -10,12 +10,27 @@ symmetrized modularity matrix B + B', which optimizes the directed Q
 exactly. The two-level map equation scores a partition by the description
 length of a damped random walk, evaluated at teleportation-smoothed visit
 rates; teleportation steps are not encoded, so module exits count link
-flow only. Both optimizers move nodes greedily, aggregate communities into
-supernodes, and repeat until the objective stops improving.
+flow only.
+
+Both objectives are optimized by one driver, `_multilevel`: it sweeps the
+nodes of a level in seeded order, moving each to its best neighbouring
+module, until a pass moves no node; the modules then become the supernodes
+of the next level, until a level moves nothing or merges nothing. The
+driver owns the visit orders, the tie-break key and the relabelling. Each
+objective is a level class with three members:
+
+- `n`, the number of (super)nodes of the level;
+- `mover(comm, key)`, which returns `move(v) -> bool`. A call puts node v
+  in the best of its neighbours' modules, tried in `key` order (a kernel
+  may also open a new module), writes the choice to `comm[v]`, and
+  reports whether v changed module;
+- `aggregate(labels, k)`, which returns the next level, whose k nodes are
+  the modules given by `labels`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -26,6 +41,7 @@ from scipy import sparse
 from .errors import DegenerateInputError, InputError
 from .graph import RetweetGraph
 from .centrality import stationary_visit_rates
+from .pca import sign_class
 from .rng import derive_seed, generator
 
 #: default resolution grid for the sweep
@@ -128,34 +144,8 @@ def shannon_diversity(n_left: int, n_right: int) -> float | None:
 
 
 # ---------------------------------------------------------------------------
-# Louvain on the symmetrized modularity matrix
+# Multilevel local moving, shared by Louvain and Infomap
 # ---------------------------------------------------------------------------
-
-
-def _visit_orders(seed: int | None, visit_order: Sequence[int] | None,
-                  tag: int, level: int) -> Callable[[int, int], np.ndarray]:
-    """Per-pass node visit order factory for one optimizer level.
-
-    With an explicit order the same sequence is used every pass (fixed
-    order mode, used at level 0 only); otherwise a fresh shuffle is drawn
-    from a (seed, tag, level, pass) derived stream.
-    """
-    if visit_order is not None:
-        fixed = np.asarray(visit_order, dtype=np.int64)
-
-        def fixed_fn(pass_idx: int, n: int) -> np.ndarray:
-            if fixed.size != n:
-                return np.arange(n, dtype=np.int64)
-            return fixed
-
-        return fixed_fn
-
-    def seeded_fn(pass_idx: int, n: int) -> np.ndarray:
-        rng = generator(derive_seed(seed if seed is not None else 0,
-                                    tag, level, pass_idx))
-        return rng.permutation(n)
-
-    return seeded_fn
 
 
 def _compact_by_order(labels: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, int]:
@@ -169,49 +159,90 @@ def _compact_by_order(labels: np.ndarray, order: np.ndarray) -> tuple[np.ndarray
     return out, len(remap)
 
 
-def _aggregate_edges(targets: np.ndarray, sources: np.ndarray,
-                     weights: np.ndarray, labels: np.ndarray,
-                     k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    key = labels[targets] * k + labels[sources]
-    uniq, inv = np.unique(key, return_inverse=True)
-    agg = np.bincount(inv, weights=weights)
-    return (uniq // k).astype(np.int64), (uniq % k).astype(np.int64), agg
+def _multilevel(level, seed: int | None, visit_order: Sequence[int] | None,
+                tag: int) -> Partition:
+    """Greedy move-and-aggregate search over a chain of levels.
+
+    Each level starts from singletons and sweeps its nodes pass after pass
+    until a pass moves none; its modules then become the nodes of the next
+    level, until a level moves nothing or keeps every node apart. Pass p of
+    level l visits nodes in the order drawn from the (seed, tag, l, p)
+    stream, except that an explicit `visit_order` is used for every pass
+    of level 0.
+    """
+    n0 = level.n
+    fixed = None
+    if visit_order is not None:
+        fixed = np.asarray(visit_order)
+        if (fixed.dtype.kind not in "iu" or fixed.shape != (n0,)
+                or not np.array_equal(np.sort(fixed), np.arange(n0))):
+            raise InputError(f"visit_order must be a permutation of range({n0})")
+    base_seed = seed if seed is not None else 0
+
+    def order(depth: int, pass_idx: int, n: int) -> np.ndarray:
+        if depth == 0 and fixed is not None:
+            return fixed
+        return generator(derive_seed(base_seed, tag, depth, pass_idx)).permutation(n)
+
+    membership = np.arange(n0, dtype=np.int64)
+    for depth in itertools.count():
+        n = level.n
+        first = order(depth, 0, n)
+        # tie-break key per module: position of its founding node in the
+        # pass-0 order, so renumbering nodes cannot change the outcome; ids
+        # minted at or above n rank after all originals in creation order
+        rank = np.argsort(first).tolist()
+        comm = np.arange(n, dtype=np.int64)
+        move = level.mover(comm, lambda c: rank[c] if c < n else c)
+        for pass_idx in itertools.count():
+            visit = first if pass_idx == 0 else order(depth, pass_idx, n)
+            if not sum(map(move, visit.tolist())):
+                break
+        if pass_idx == 0:  # no node moved at this level
+            break
+        labels, k = _compact_by_order(comm, first)
+        membership = labels[membership]
+        if k == n:
+            break
+        level = level.aggregate(labels, k)
+    return Partition.from_labels(membership)
 
 
-def _symmetric_neighbors(n: int, targets: np.ndarray, sources: np.ndarray,
-                         weights: np.ndarray) -> sparse.csr_matrix:
-    a = sparse.coo_matrix((weights, (targets, sources)), shape=(n, n))
-    s = (a + a.T).tocsr()
-    s.setdiag(0)
-    s.eliminate_zeros()
-    return s
+# ---------------------------------------------------------------------------
+# Louvain on the symmetrized modularity matrix
+# ---------------------------------------------------------------------------
 
 
-def _louvain_level(n: int, targets: np.ndarray, sources: np.ndarray,
-                   weights: np.ndarray, w: float, gamma: float,
-                   orders: Callable[[int, int], np.ndarray],
-                   ) -> tuple[np.ndarray, np.ndarray, bool]:
-    """One level of node sweeps; returns raw labels, pass-0 order, moved flag."""
-    sym = _symmetric_neighbors(n, targets, sources, weights)
-    indptr, indices, data = sym.indptr, sym.indices, sym.data
-    win = np.bincount(targets, weights=weights, minlength=n)
-    wout = np.bincount(sources, weights=weights, minlength=n)
-    comm = np.arange(n, dtype=np.int64)
-    acc_in = win.copy()
-    acc_out = wout.copy()
-    gamma_w = gamma / w
-    first_order = orders(0, n)
-    # tie-break key per community: position of its founding node in the
-    # pass-0 visit order, so renumbering nodes cannot change the outcome
-    rank = np.empty(n, dtype=np.int64)
-    rank[first_order] = np.arange(n)
-    moved_any = False
-    pass_idx = 0
-    while True:
-        order = first_order if pass_idx == 0 else orders(pass_idx, n)
-        moved = 0
-        for v in order:
-            v = int(v)
+class _ModularityLevel:
+    """Directed weighted edges between the supernodes of one Louvain level.
+
+    Moves are scored on the symmetrized neighbour weights A + A' without
+    self-loops; `w` is the total weight of the original graph.
+    """
+
+    def __init__(self, n: int, targets: np.ndarray, sources: np.ndarray,
+                 weights: np.ndarray, w: float, gamma: float):
+        self.n = n
+        self.targets = targets
+        self.sources = sources
+        self.weights = weights
+        self.w = w
+        self.gamma = gamma
+        a = sparse.coo_matrix((weights, (targets, sources)), shape=(n, n))
+        self.sym = (a + a.T).tocsr()
+        self.sym.setdiag(0)
+        self.sym.eliminate_zeros()
+        self.win = np.bincount(targets, weights=weights, minlength=n)
+        self.wout = np.bincount(sources, weights=weights, minlength=n)
+
+    def mover(self, comm: np.ndarray, key: Callable[[int], int]) -> Callable[[int], bool]:
+        indptr, indices, data = self.sym.indptr, self.sym.indices, self.sym.data
+        win, wout = self.win, self.wout
+        acc_in = win.copy()
+        acc_out = wout.copy()
+        gamma_w = self.gamma / self.w
+
+        def move(v: int) -> bool:
             cv = int(comm[v])
             iv = win[v]
             ov = wout[v]
@@ -223,7 +254,7 @@ def _louvain_level(n: int, targets: np.ndarray, sources: np.ndarray,
                 kvc[c] = kvc.get(c, 0.0) + data[e]
             best_c = cv
             best_gain = kvc.get(cv, 0.0) - gamma_w * (iv * acc_out[cv] + ov * acc_in[cv])
-            for c in sorted(kvc, key=lambda cid: rank[cid]):
+            for c in sorted(kvc, key=key):
                 if c == cv:
                     continue
                 gain = kvc[c] - gamma_w * (iv * acc_out[c] + ov * acc_in[c])
@@ -233,14 +264,16 @@ def _louvain_level(n: int, targets: np.ndarray, sources: np.ndarray,
             comm[v] = best_c
             acc_in[best_c] += iv
             acc_out[best_c] += ov
-            if best_c != cv:
-                moved += 1
-        if moved:
-            moved_any = True
-        pass_idx += 1
-        if moved == 0:
-            break
-    return comm, first_order, moved_any
+            return best_c != cv
+
+        return move
+
+    def aggregate(self, labels: np.ndarray, k: int) -> "_ModularityLevel":
+        pair = labels[self.targets] * k + labels[self.sources]
+        uniq, inv = np.unique(pair, return_inverse=True)
+        return _ModularityLevel(k, uniq // k, uniq % k,
+                                np.bincount(inv, weights=self.weights),
+                                self.w, self.gamma)
 
 
 def louvain(g: RetweetGraph, params: ModularityParams = ModularityParams(),
@@ -254,29 +287,9 @@ def louvain(g: RetweetGraph, params: ModularityParams = ModularityParams(),
     """
     if g.w == 0:
         raise DegenerateInputError("cannot optimize modularity on a graph with no edges")
-    membership = np.arange(g.n, dtype=np.int64)
-    targets = g.targets.copy()
-    sources = g.sources.copy()
-    weights = g.counts.astype(np.float64)
-    n = g.n
-    w = float(g.w)
-    level = 0
-    while True:
-        orders = _visit_orders(seed, visit_order if level == 0 else None,
-                               tag=0, level=level)
-        labels, first_order, moved = _louvain_level(
-            n, targets, sources, weights, w, params.gamma, orders)
-        if not moved:
-            break
-        labels, k = _compact_by_order(labels, first_order)
-        membership = labels[membership]
-        if k == n:
-            break
-        targets, sources, weights = _aggregate_edges(targets, sources,
-                                                     weights, labels, k)
-        n = k
-        level += 1
-    return Partition.from_labels(membership)
+    level = _ModularityLevel(g.n, g.targets, g.sources, g.counts.astype(np.float64),
+                             float(g.w), params.gamma)
+    return _multilevel(level, seed, visit_order, tag=0)
 
 
 # ---------------------------------------------------------------------------
@@ -368,58 +381,28 @@ class _FlowLevel:
         self.in_mat = mat.T.tocsr()
         self.out_total = np.asarray(mat.sum(axis=1)).ravel()
 
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        coo = self.out_mat.tocoo()
-        frm = np.concatenate([coo.row, np.arange(self.n)])
-        to = np.concatenate([coo.col, np.arange(self.n)])
-        fl = np.concatenate([coo.data, self.self_flow])
-        keep = fl > 0
-        return frm[keep], to[keep], fl[keep]
+    def mover(self, comm: np.ndarray, key: Callable[[int], int]) -> Callable[[int], bool]:
+        n_orig = self.n_orig
+        out_total, p, umass, sizes = self.out_total, self.p, self.umass, self.sizes
+        out_ptr, out_idx, out_dat = (self.out_mat.indptr, self.out_mat.indices,
+                                     self.out_mat.data)
+        in_ptr, in_idx, in_dat = (self.in_mat.indptr, self.in_mat.indices,
+                                  self.in_mat.data)
 
+        def q_of(ql: float, um: float, sz: float) -> float:
+            return ql + um * (n_orig - sz) / n_orig
 
-def _infomap_level(level: _FlowLevel,
-                   orders: Callable[[int, int], np.ndarray],
-                   ) -> tuple[np.ndarray, np.ndarray, bool]:
-    """One level of greedy map-equation sweeps over supernodes."""
-    n = level.n
-    n_orig = level.n_orig
-    comm = np.arange(n, dtype=np.int64)
-    p_tot = level.p.copy()
-    u_tot = level.umass.copy()
-    s_tot = level.sizes.astype(np.float64).copy()
-    qlink = level.out_total.copy()
-    next_id = n
+        def term(qm: float, pm: float) -> float:
+            return -2.0 * _plogp(qm) + _plogp(qm + pm)
 
-    def q_of(ql: float, um: float, sz: float) -> float:
-        return ql + um * (n_orig - sz) / n_orig
+        # per module: [link exit flow, dangling rate, size, visit mass]
+        acc = {c: [out_total[c], umass[c], sizes[c], p[c]] for c in range(self.n)}
+        q_m = {c: q_of(*acc[c][:3]) for c in acc}
+        q_total = float(sum(q_m.values()))
+        next_id = self.n
 
-    def term(qm: float, pm: float) -> float:
-        return -2.0 * _plogp(qm) + _plogp(qm + pm)
-
-    q_m = {c: q_of(qlink[c], u_tot[c], s_tot[c]) for c in range(n)}
-    q_total = float(sum(q_m.values()))
-    out_ptr, out_idx, out_dat = (level.out_mat.indptr, level.out_mat.indices,
-                                 level.out_mat.data)
-    in_ptr, in_idx, in_dat = (level.in_mat.indptr, level.in_mat.indices,
-                              level.in_mat.data)
-    acc = {c: [qlink[c], u_tot[c], s_tot[c], p_tot[c]] for c in range(n)}
-
-    first_order = orders(0, n)
-    # tie-break key per community: founding position in the pass-0 visit
-    # order; ids minted for isolation moves rank after all originals in
-    # creation order, and the isolation pseudo-candidate goes last
-    rank = np.empty(n, dtype=np.int64)
-    rank[first_order] = np.arange(n)
-
-    def comm_key(cid: int) -> int:
-        return int(rank[cid]) if cid < n else cid
-    moved_any = False
-    pass_idx = 0
-    while True:
-        order = first_order if pass_idx == 0 else orders(pass_idx, n)
-        moved = 0
-        for v in order:
-            v = int(v)
+        def move(v: int) -> bool:
+            nonlocal q_total, next_id
             cv = int(comm[v])
             # link flow between v and each neighbouring module
             to_mod: dict[int, float] = {}
@@ -430,10 +413,10 @@ def _infomap_level(level: _FlowLevel,
             for e in range(in_ptr[v], in_ptr[v + 1]):
                 c = int(comm[in_idx[e]])
                 from_mod[c] = from_mod.get(c, 0.0) + in_dat[e]
-            out_v = float(level.out_total[v])
-            p_v = float(level.p[v])
-            u_v = float(level.umass[v])
-            sz_v = float(level.sizes[v])
+            out_v = float(out_total[v])
+            p_v = float(p[v])
+            u_v = float(umass[v])
+            sz_v = float(sizes[v])
 
             ql_a, um_a, sz_a, pm_a = acc[cv]
             q_a = q_m[cv]
@@ -446,8 +429,8 @@ def _infomap_level(level: _FlowLevel,
             q_a2 = 0.0 if lone else q_of(ql_a2, um_a2, sz_a2)
             removal_term = (0.0 if lone else term(q_a2, pm_a2)) - term(q_a, pm_a)
 
-            candidates = sorted(set(to_mod) | set(from_mod),
-                                key=comm_key) + [-1]
+            # -1 stands for a new module of v alone; it is tried last
+            candidates = sorted(set(to_mod) | set(from_mod), key=key) + [-1]
             best_c = cv
             best_delta = 0.0
             for c in candidates:
@@ -469,28 +452,37 @@ def _infomap_level(level: _FlowLevel,
                 if delta < best_delta - GAIN_EPS:
                     best_delta = delta
                     best_c = c
-            if best_c != cv:
-                if best_c == -1:
-                    best_c = next_id
-                    next_id += 1
-                    acc[best_c] = [0.0, 0.0, 0.0, 0.0]
-                    q_m[best_c] = 0.0
-                ql_b, um_b, sz_b, pm_b = acc[best_c]
-                ql_b2 = ql_b + (out_v - to_mod.get(best_c, 0.0)) - from_mod.get(best_c, 0.0)
-                q_b2 = q_of(ql_b2, um_b + u_v, sz_b + sz_v)
-                q_total += -q_a - q_m[best_c] + q_a2 + q_b2
-                acc[cv] = [ql_a2, um_a2, sz_a2, pm_a2]
-                q_m[cv] = q_a2
-                acc[best_c] = [ql_b2, um_b + u_v, sz_b + sz_v, pm_b + p_v]
-                q_m[best_c] = q_b2
-                comm[v] = best_c
-                moved += 1
-        if moved:
-            moved_any = True
-        pass_idx += 1
-        if moved == 0:
-            break
-    return comm, first_order, moved_any
+            if best_c == cv:
+                return False
+            if best_c == -1:
+                best_c = next_id
+                next_id += 1
+                acc[best_c] = [0.0, 0.0, 0.0, 0.0]
+                q_m[best_c] = 0.0
+            ql_b, um_b, sz_b, pm_b = acc[best_c]
+            ql_b2 = ql_b + (out_v - to_mod.get(best_c, 0.0)) - from_mod.get(best_c, 0.0)
+            q_b2 = q_of(ql_b2, um_b + u_v, sz_b + sz_v)
+            q_total += -q_a - q_m[best_c] + q_a2 + q_b2
+            acc[cv] = [ql_a2, um_a2, sz_a2, pm_a2]
+            q_m[cv] = q_a2
+            acc[best_c] = [ql_b2, um_b + u_v, sz_b + sz_v, pm_b + p_v]
+            q_m[best_c] = q_b2
+            comm[v] = best_c
+            return True
+
+        return move
+
+    def aggregate(self, labels: np.ndarray, k: int) -> "_FlowLevel":
+        coo = self.out_mat.tocoo()
+        frm = np.concatenate([coo.row, np.arange(self.n)])
+        to = np.concatenate([coo.col, np.arange(self.n)])
+        fl = np.concatenate([coo.data, self.self_flow])
+        keep = fl > 0
+        return _FlowLevel(self.n_orig,
+                          np.bincount(labels, weights=self.p, minlength=k),
+                          np.bincount(labels, weights=self.umass, minlength=k),
+                          np.bincount(labels, weights=self.sizes, minlength=k),
+                          labels[frm[keep]], labels[to[keep]], fl[keep])
 
 
 def infomap(g: RetweetGraph, params: MapEquationParams = MapEquationParams(),
@@ -505,28 +497,8 @@ def infomap(g: RetweetGraph, params: MapEquationParams = MapEquationParams(),
     if g.n == 0:
         raise InputError("graph has no nodes")
     p, flows, dangling = _build_flows(g, params)
-    level_state = _FlowLevel(g.n, p, dangling, np.ones(g.n),
-                             g.sources.copy(), g.targets.copy(), flows)
-    membership = np.arange(g.n, dtype=np.int64)
-    level = 0
-    while True:
-        orders = _visit_orders(seed, visit_order if level == 0 else None,
-                               tag=1, level=level)
-        labels, first_order, moved = _infomap_level(level_state, orders)
-        if not moved:
-            break
-        labels, k = _compact_by_order(labels, first_order)
-        membership = labels[membership]
-        if k == level_state.n:
-            break
-        frm, to, fl = level_state.edge_arrays()
-        p2 = np.bincount(labels, weights=level_state.p, minlength=k)
-        u2 = np.bincount(labels, weights=level_state.umass, minlength=k)
-        s2 = np.bincount(labels, weights=level_state.sizes, minlength=k)
-        level_state = _FlowLevel(level_state.n_orig, p2, u2, s2,
-                                 labels[frm], labels[to], fl)
-        level += 1
-    return Partition.from_labels(membership)
+    level = _FlowLevel(g.n, p, dangling, np.ones(g.n), g.sources, g.targets, flows)
+    return _multilevel(level, seed, visit_order, tag=1)
 
 
 # ---------------------------------------------------------------------------
@@ -534,8 +506,8 @@ def infomap(g: RetweetGraph, params: MapEquationParams = MapEquationParams(),
 # ---------------------------------------------------------------------------
 
 
-def community_profiles(partition: Partition, node_scores: np.ndarray,
-                       zero_band: float = 1e-12) -> list[CommunityProfile]:
+def community_profiles(partition: Partition,
+                       node_scores: np.ndarray) -> list[CommunityProfile]:
     """Size, left/right composition, mean score, and Shannon index per community.
 
     `node_scores` is aligned to node indices with NaN for unscored nodes.
@@ -544,13 +516,14 @@ def community_profiles(partition: Partition, node_scores: np.ndarray,
     scores = np.asarray(node_scores, dtype=np.float64)
     if scores.shape != partition.assignment.shape:
         raise InputError("node scores are not aligned to the partition")
+    classes = np.array([sign_class(v) for v in scores.tolist()])
     profiles = []
     for c in range(partition.k):
         members = np.flatnonzero(partition.assignment == c)
         vals = scores[members]
         vals = vals[~np.isnan(vals)]
-        n_left = int((vals < -zero_band).sum())
-        n_right = int((vals > zero_band).sum())
+        n_left = int((classes[members] == "left").sum())
+        n_right = int((classes[members] == "right").sum())
         mean = float(vals.mean()) if vals.size else None
         profiles.append(CommunityProfile(
             community=c, size=int(members.size), n_left=n_left,

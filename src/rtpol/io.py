@@ -114,8 +114,9 @@ def parse_tweets(path: str | Path) -> list[TweetRecord]:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"invalid JSON: {exc.msg}",
+            except (ValueError, RecursionError) as exc:
+                # beyond JSONDecodeError: over-long integers, deep nesting
+                raise InputError(f"invalid JSON: {getattr(exc, 'msg', exc)}",
                                  path=path, line=lineno) from None
             if not isinstance(obj, dict):
                 raise InputError("each line must be a JSON object",
@@ -124,10 +125,13 @@ def parse_tweets(path: str | Path) -> list[TweetRecord]:
                 if field not in obj:
                     raise InputError(f"missing field {field!r}",
                                      path=path, line=lineno)
-            if not obj["account"]:
-                raise InputError("empty account id", path=path, line=lineno)
-            if not obj["text"]:
-                raise InputError("empty tweet text", path=path, line=lineno)
+            for field, what in (("account", "account id"), ("text", "tweet text")):
+                if not isinstance(obj[field], str):
+                    raise InputError(f"{field!r} must be a string, got "
+                                     f"{type(obj[field]).__name__}",
+                                     path=path, line=lineno)
+                if not obj[field]:
+                    raise InputError(f"empty {what}", path=path, line=lineno)
             try:
                 utc = datetime.strptime(obj["utc"], UTC_FORMAT)
             except (TypeError, ValueError):

@@ -78,7 +78,9 @@ class MediaScores:
         return self.classes.get(account)
 
 
-def _classify(score: float) -> str:
+def sign_class(score: float) -> str:
+    """'left' below -ZERO_BAND, 'right' above ZERO_BAND, else (NaN included)
+    'unclassified'."""
     if score < -ZERO_BAND:
         return "left"
     if score > ZERO_BAND:
@@ -151,7 +153,7 @@ def score_accounts(m: FollowershipMatrix, loadings: MediaLoadings) -> MediaScore
         raise InputError("followership media columns do not match the loadings")
     proj = (m.entries.astype(np.float64) - loadings.column_means) @ loadings.loadings
     scores = {acct: float(s) for acct, s in zip(m.accounts, proj)}
-    classes = {acct: _classify(s) for acct, s in scores.items()}
+    classes = {acct: sign_class(s) for acct, s in scores.items()}
     return MediaScores(scores=scores, classes=classes)
 
 

@@ -8,8 +8,8 @@ are written under a .partial suffix and renamed on stage completion, so an
 aborted run leaves completed stages intact and the failing stage's files
 clearly marked.
 
-The output directory can be overridden with the RTPOL_OUT_DIR environment
-variable. Analytical outputs are deterministic for a fixed config and
+`run_report` lets the RTPOL_OUT_DIR environment variable override the
+configured output directory. Analytical outputs are deterministic for a fixed config and
 seed; wall-clock times live only in the manifest.
 """
 
@@ -119,7 +119,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         edges=Path(raw["edges"]),
         followership=Path(raw["followership"]),
         tweets=Path(raw["tweets"]) if "tweets" in raw else None,
-        out_dir=Path(os.environ.get(ENV_OUT_DIR, raw["out_dir"])),
+        out_dir=Path(raw["out_dir"]),
         anchor=raw.get("anchor"),
         gammas=gammas,
         tau=parse_num("tau", float, 0.15),

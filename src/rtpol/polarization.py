@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, InputError
 from .graph import RetweetGraph, induced_subgraph
+from .pca import sign_class
 from .rng import splitmix64_array
 
 #: replicate fraction above which skipped permutations trigger a warning
@@ -227,18 +228,11 @@ def assortativity_r(e: MixingMatrix | np.ndarray) -> float:
     return (float(np.trace(mat)) - chance) / denom
 
 
-def classes_from_scores(node_scores: np.ndarray,
-                        zero_band: float = 1e-12) -> list[str | None]:
-    """Map signed scores to 'left'/'right'; NaN and the zero band map to None."""
-    out: list[str | None] = []
-    for v in np.asarray(node_scores, dtype=np.float64):
-        if np.isnan(v) or abs(v) <= zero_band:
-            out.append(None)
-        elif v < 0:
-            out.append("left")
-        else:
-            out.append("right")
-    return out
+def classes_from_scores(node_scores: np.ndarray) -> list[str | None]:
+    """Map signed scores to 'left'/'right' by `pca.sign_class`; NaN and the
+    zero band map to None."""
+    classes = (sign_class(v) for v in np.asarray(node_scores, dtype=np.float64))
+    return [None if c == "unclassified" else c for c in classes]
 
 
 def assortativity_report(g: RetweetGraph, node_scores: np.ndarray,

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -129,6 +130,21 @@ def test_louvain_fixed_visit_order_mode():
     assert np.array_equal(a, b)
 
 
+def test_visit_order_must_be_a_permutation():
+    """A wrong-length, repeating or out-of-range order is rejected up front
+    instead of silently falling back to index order or failing mid-run."""
+    g = build_graph([EdgeRecord("a", "b"), EdgeRecord("b", "c"),
+                     EdgeRecord("c", "a"), EdgeRecord("d", "e"),
+                     EdgeRecord("e", "f"), EdgeRecord("f", "d")])
+    for fn in (louvain, infomap):
+        for bad in ([0, 1], [0] * 6, [0, 1, 2, 3, 4, 6], [-1, 1, 2, 3, 4, 5],
+                    list(range(7))):
+            with pytest.raises(InputError, match="permutation"):
+                fn(g, visit_order=bad)
+        good = fn(g, visit_order=[5, 4, 3, 2, 1, 0])
+        assert canon(good.assignment) == (0, 0, 0, 1, 1, 1)
+
+
 def canon(labels) -> tuple:
     remap: dict[int, int] = {}
     return tuple(remap.setdefault(int(x), len(remap)) for x in labels)
@@ -257,6 +273,109 @@ def test_infomap_deterministic_per_seed():
     a = infomap(g, seed=4).assignment
     b = infomap(g, seed=4).assignment
     assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# pinned optimizer output
+# ---------------------------------------------------------------------------
+
+
+def three_groups():
+    """40 accounts in groups of 13, 13 and 14: irregular weighted ties
+    inside each group and eight single retweets across groups."""
+    records = []
+    for lo, hi in ((0, 13), (13, 26), (26, 40)):
+        for i in range(lo, hi):
+            for j in range(lo, hi):
+                if i != j and (7 * i + 11 * j + i * j) % 5 < 2:
+                    records.append(EdgeRecord(f"u{i}", f"u{j}", 1 + (i + j) % 3))
+    for t, s in ((0, 20), (14, 30), (27, 5), (39, 12), (13, 26), (3, 33),
+                 (21, 8), (35, 17)):
+        records.append(EdgeRecord(f"u{t}", f"u{s}", 1))
+    return build_graph(records, nodes=[f"u{i}" for i in range(40)])
+
+
+def pinned_cases():
+    graphs = [("groups", three_groups())]
+    rng = np.random.default_rng(2019)
+    for i in range(4):
+        graphs.append((f"random{i}", orc.random_graph(rng, 14)))
+    for name, g in graphs:
+        fixed = [int(v) for v in rng.permutation(g.n)]
+        for gamma in (1.0, 5.0):
+            par = ModularityParams(gamma=gamma)
+            for seed in (0, 7):
+                yield (f"{name}/louvain/gamma={gamma}/seed={seed}",
+                       lambda g=g, par=par, seed=seed: louvain(g, par, seed=seed))
+            yield (f"{name}/louvain/gamma={gamma}/fixed",
+                   lambda g=g, par=par, vo=fixed: louvain(g, par, visit_order=vo))
+        for seed in (0, 7):
+            yield (f"{name}/infomap/seed={seed}",
+                   lambda g=g, seed=seed: infomap(g, seed=seed))
+        yield (f"{name}/infomap/fixed",
+               lambda g=g, vo=fixed: infomap(g, visit_order=vo))
+
+
+#: first 16 hex digits of sha256 over the comma-joined assignment. Several
+#: cases aggregate and move again at level 1 (e.g. every "groups" case), and
+#: the Infomap "groups" seeded cases isolate a node into a newly minted module.
+PINNED = {
+    "groups/louvain/gamma=1.0/seed=0": "e4b9ad4c4602e775",
+    "groups/louvain/gamma=1.0/seed=7": "e4b9ad4c4602e775",
+    "groups/louvain/gamma=1.0/fixed": "e4b9ad4c4602e775",
+    "groups/louvain/gamma=5.0/seed=0": "deb8f749b10fd29f",
+    "groups/louvain/gamma=5.0/seed=7": "deb8f749b10fd29f",
+    "groups/louvain/gamma=5.0/fixed": "cd20b0b3b4509450",
+    "groups/infomap/seed=0": "5b9d02f7b3311669",
+    "groups/infomap/seed=7": "5b9d02f7b3311669",
+    "groups/infomap/fixed": "5b9d02f7b3311669",
+    "random0/louvain/gamma=1.0/seed=0": "3ecf2c1adff7eec8",
+    "random0/louvain/gamma=1.0/seed=7": "3ecf2c1adff7eec8",
+    "random0/louvain/gamma=1.0/fixed": "3ecf2c1adff7eec8",
+    "random0/louvain/gamma=5.0/seed=0": "6484c68c0c85987f",
+    "random0/louvain/gamma=5.0/seed=7": "6484c68c0c85987f",
+    "random0/louvain/gamma=5.0/fixed": "6484c68c0c85987f",
+    "random0/infomap/seed=0": "bf7d4c542d6ecc44",
+    "random0/infomap/seed=7": "bf7d4c542d6ecc44",
+    "random0/infomap/fixed": "bf7d4c542d6ecc44",
+    "random1/louvain/gamma=1.0/seed=0": "61b90dcc00ecc841",
+    "random1/louvain/gamma=1.0/seed=7": "b6dae94388611011",
+    "random1/louvain/gamma=1.0/fixed": "b6dae94388611011",
+    "random1/louvain/gamma=5.0/seed=0": "ef558e7f6f010c2a",
+    "random1/louvain/gamma=5.0/seed=7": "ef558e7f6f010c2a",
+    "random1/louvain/gamma=5.0/fixed": "ef558e7f6f010c2a",
+    "random1/infomap/seed=0": "7d9d182766ebc92e",
+    "random1/infomap/seed=7": "7d9d182766ebc92e",
+    "random1/infomap/fixed": "7d9d182766ebc92e",
+    "random2/louvain/gamma=1.0/seed=0": "d0072c173b7a0f3a",
+    "random2/louvain/gamma=1.0/seed=7": "d0072c173b7a0f3a",
+    "random2/louvain/gamma=1.0/fixed": "d0072c173b7a0f3a",
+    "random2/louvain/gamma=5.0/seed=0": "594a7c1b42ceaed6",
+    "random2/louvain/gamma=5.0/seed=7": "594a7c1b42ceaed6",
+    "random2/louvain/gamma=5.0/fixed": "594a7c1b42ceaed6",
+    "random2/infomap/seed=0": "2ca38d4311fb83c7",
+    "random2/infomap/seed=7": "2ca38d4311fb83c7",
+    "random2/infomap/fixed": "2ca38d4311fb83c7",
+    "random3/louvain/gamma=1.0/seed=0": "0409f7102a9b9ba7",
+    "random3/louvain/gamma=1.0/seed=7": "0409f7102a9b9ba7",
+    "random3/louvain/gamma=1.0/fixed": "07e0a9d8685744b9",
+    "random3/louvain/gamma=5.0/seed=0": "ef558e7f6f010c2a",
+    "random3/louvain/gamma=5.0/seed=7": "ef558e7f6f010c2a",
+    "random3/louvain/gamma=5.0/fixed": "ef558e7f6f010c2a",
+    "random3/infomap/seed=0": "0409f7102a9b9ba7",
+    "random3/infomap/seed=7": "0409f7102a9b9ba7",
+    "random3/infomap/fixed": "0409f7102a9b9ba7",
+}
+
+
+def test_optimizers_pinned_output():
+    """Exact partitions per (graph, method, gamma, seed or fixed order);
+    a refactor of the optimizers must reproduce every one."""
+    got = {}
+    for key, run in pinned_cases():
+        a = run().assignment.tolist()
+        got[key] = hashlib.sha256(",".join(map(str, a)).encode()).hexdigest()[:16]
+    assert got == PINNED
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 import hashlib
 import json
+import tempfile
 from datetime import datetime
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rtpol import EdgeRecord, SyntheticSpec, generate_bundle
 from rtpol.errors import InputError
@@ -113,13 +117,56 @@ def test_parse_tweets_errors_carry_line(tmp_path):
     with pytest.raises(InputError, match="does not match"):
         parse_tweets(p)
 
-    p.write_text("not json\n")
-    with pytest.raises(InputError, match="invalid JSON"):
-        parse_tweets(p)
+    for bad in ("not json", "1" * 5000, "[" * 100_000):
+        p.write_text(bad + "\n")
+        with pytest.raises(InputError, match="invalid JSON"):
+            parse_tweets(p)
 
     p.write_text('{"account": "u1", "utc": "2017-08-12T15:04:05Z", "text": ""}\n')
     with pytest.raises(InputError, match="empty tweet text"):
         parse_tweets(p)
+
+
+def test_parse_tweets_requires_string_account_and_text(tmp_path):
+    """A number or other non-string would pass ingest and then crash the
+    text statistics (text) or never match a score (account)."""
+    p = tmp_path / "tweets.jsonl"
+    good = '{"account": "u1", "utc": "2017-08-12T15:04:05Z", "text": "hi"}'
+    for field, value in (("text", 5), ("account", 7), ("text", ["hi"]),
+                         ("account", None), ("text", True)):
+        obj = json.loads(good)
+        obj[field] = value
+        p.write_text(good + "\n" + json.dumps(obj) + "\n")
+        with pytest.raises(InputError, match=f"'{field}' must be a string") as exc:
+            parse_tweets(p)
+        assert exc.value.line == 2
+        assert str(p) in str(exc.value)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+tweet_objects = st.dictionaries(
+    st.sampled_from(["account", "utc", "text", "other"]),
+    json_values | st.just("u1") | st.just("2017-08-12T15:04:05Z"))
+
+
+@given(st.lists(tweet_objects, min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_parse_tweets_fuzz_only_input_error_escapes(objects):
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "tweets.jsonl"
+        p.write_text("".join(json.dumps(o) + "\n" for o in objects),
+                     encoding="utf-8")
+        try:
+            records = parse_tweets(p)
+        except InputError:
+            return
+    for rec in records:
+        assert isinstance(rec.account, str) and rec.account
+        assert isinstance(rec.text, str) and rec.text
 
 
 # ---------------------------------------------------------------------------

@@ -204,12 +204,24 @@ def test_report_abort_keeps_prior_stages(tmp_path):
 
 
 def test_out_dir_env_override(tmp_path, monkeypatch):
+    """The override reaches both entry routes: a config built in code and
+    one read from a file, as `rtpol report` does."""
     bundle = generate_bundle(SMALL, tmp_path / "bundle")
     override = tmp_path / "env_out"
     monkeypatch.setenv("RTPOL_OUT_DIR", str(override))
     run_report(small_config(bundle, tmp_path / "configured"))
     assert (override / "manifest.json").exists()
     assert not (tmp_path / "configured").exists()
+
+    shutil.rmtree(override)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(
+        f"edges = {bundle.edges}\nfollowership = {bundle.followership}\n"
+        f"tweets = {bundle.tweets}\nout_dir = {tmp_path / 'from_file'}\n"
+        "gammas = 1.0\nn_perm = 50\n")
+    run_report(load_config(cfg_path))
+    assert (override / "manifest.json").exists()
+    assert not (tmp_path / "from_file").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -4,16 +4,18 @@ Edges are tab-separated `retweeted_id<TAB>retweeter_id<TAB>count` with an
 optional count (default 1) and '#' comment lines. Followership is a CSV
 with an `account_id` header column followed by media labels and 0/1 cells.
 Tweets are JSON lines with `account`, `utc` (ISO UTC, Z suffix) and
-`text`. Parse errors carry the file path and one-based line number.
+`text`. Inputs are UTF-8; a byte that is not, like any other parse
+error, raises InputError with the file path and one-based line number.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from datetime import datetime
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -25,10 +27,33 @@ from .text import TweetRecord
 UTC_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
 
 
+@contextmanager
+def open_utf8(path: Path, newline: str | None = None) -> Iterator[TextIO]:
+    """Open an input file as UTF-8 text.
+
+    A byte sequence that is not UTF-8 raises InputError naming the path
+    and the line of the first bad byte, in place of UnicodeDecodeError.
+    """
+    try:
+        with path.open(encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError:
+        # The text layer decodes in chunks, so find the line from the bytes;
+        # b"\n" never occurs inside a multi-byte UTF-8 sequence.
+        with path.open("rb") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise InputError(f"not UTF-8 text: {exc.reason}",
+                                     path=path, line=lineno) from None
+        raise InputError("not UTF-8 text", path=path) from None
+
+
 def parse_edges(path: str | Path) -> list[EdgeRecord]:
     path = Path(path)
     records = []
-    with path.open(encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip() or line.startswith("#"):
@@ -58,7 +83,7 @@ def parse_followership(path: str | Path) -> tuple[FollowershipMatrix, int]:
     """Read the followership CSV; returns the matrix and the number of
     all-zero rows that were dropped."""
     path = Path(path)
-    with path.open(encoding="utf-8", newline="") as fh:
+    with open_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -107,7 +132,7 @@ def parse_followership(path: str | Path) -> tuple[FollowershipMatrix, int]:
 def parse_tweets(path: str | Path) -> list[TweetRecord]:
     path = Path(path)
     out = []
-    with path.open(encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
@@ -146,7 +171,7 @@ def parse_partition_csv(path: str | Path) -> dict[str, int]:
     """node_id,community CSV into a mapping (comment lines allowed)."""
     path = Path(path)
     out: dict[str, int] = {}
-    with path.open(encoding="utf-8", newline="") as fh:
+    with open_utf8(path, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or row[0].startswith("#"):
                 continue
@@ -167,7 +192,7 @@ def parse_scores_csv(path: str | Path) -> MediaScores:
     path = Path(path)
     scores: dict[str, float] = {}
     classes: dict[str, str] = {}
-    with path.open(encoding="utf-8", newline="") as fh:
+    with open_utf8(path, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or row[0].startswith("#"):
                 continue

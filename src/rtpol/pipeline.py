@@ -32,8 +32,8 @@ from .centrality import (PageRankParams, degree_scores, hits, pagerank,
 from .community import (DEFAULT_GAMMA_GRID, MapEquationParams,
                         ModularityParams, community_profiles, infomap,
                         louvain, map_equation, modularity, resolution_sweep)
-from .io import (parse_edges, parse_followership, parse_tweets, write_csv,
-                 write_json)
+from .io import (open_utf8, parse_edges, parse_followership, parse_tweets,
+                 write_csv, write_json)
 from .pca import first_principal_component, node_score_array, score_accounts
 from .polarization import assortativity_report
 from .rng import derive_seed
@@ -71,7 +71,7 @@ def load_config(path: str | Path) -> PipelineConfig:
     """Flat key=value config file; '#' starts a comment line."""
     path = Path(path)
     raw: dict[str, str] = {}
-    with path.open(encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

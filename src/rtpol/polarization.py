@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .errors import DegenerateInputError, InputError
 from .graph import RetweetGraph, induced_subgraph
@@ -115,16 +116,46 @@ def dyad_correlation(g: RetweetGraph,
     return float((xc @ yc) / denom), int(n)
 
 
+def _replicate_keys(seed: int, lo: int, hi: int, n_items: int) -> np.ndarray:
+    """splitmix64 sort keys of replicates lo..hi-1, one row per replicate.
+
+    Row k - lo holds splitmix64(splitmix64(seed + k) ^ salt_i) for item i,
+    with salt_i = splitmix64(i ^ 0x5851F42D4C957F2D). The entries of a row
+    are pairwise distinct: splitmix64 is a bijection on 64-bit words, so
+    the salts of distinct items differ, XOR with one replicate seed keeps
+    them apart, and the outer round maps them to distinct keys. Any
+    argsort of a row is therefore the same permutation as a stable one.
+    """
+    rep_seeds = splitmix64_array(
+        np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + np.arange(lo, hi, dtype=np.uint64))
+    item_salt = splitmix64_array(
+        np.arange(n_items, dtype=np.uint64) ^ np.uint64(0x5851F42D4C957F2D))
+    return splitmix64_array(rep_seeds[:, None] ^ item_salt[None, :])
+
+
 def permutation_test(g: RetweetGraph, node_scores: np.ndarray,
                      n_perm: int = 100_000, seed: int = 0) -> PermutationResult:
     """Permutation null for the dyad correlation.
 
     Replicate k reassigns the score multiset uniformly at random among the
-    originally scored nodes, using sort keys derived by splitmix64 from
-    (seed + k), so any replicate can be regenerated independently. The
-    returned z compares the observed correlation against the null mean and
-    standard deviation. Replicates with a degenerate margin are skipped and
-    counted; more than 1% of them flips the warning flag.
+    originally scored nodes: scored node i takes the score of the item
+    with the i-th smallest of the sort keys derived by splitmix64 from
+    (seed + k) (`_replicate_keys`), so any replicate can be regenerated
+    independently. The returned z compares the observed correlation
+    against the null mean and standard deviation. Replicates with a
+    degenerate margin (centred sum of squares at most `tiny`) are skipped
+    and counted; more than 1% of them flips the warning flag.
+
+    Replicates are evaluated in blocks without forming per-dyad values.
+    The dyad margins of a permuted score vector s are repeats of it,
+    x = s[src] and y = s[tgt], so with out- and in-degrees d_out and d_in
+    over the m dyads and the 0/1 dyad matrix D,
+
+        mean(x) = d_out . s / m,          sxx = d_out . (s - mean(x))**2,
+        mean(y) = d_in . s / m,           syy = d_in . (s - mean(y))**2,
+        sxy = (s - mean(x))^T D (s - mean(y)),
+
+    and a block needs one sparse-dense product for sxy.
     """
     if n_perm < 2:
         raise InputError(f"need at least 2 permutation replicates, got {n_perm}")
@@ -132,28 +163,29 @@ def permutation_test(g: RetweetGraph, node_scores: np.ndarray,
     vals, src, tgt = _dyad_positions(g, node_scores)
     n_scored = vals.size
     m = src.size
-    rep_seeds = splitmix64_array(
-        np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
-        + np.arange(n_perm, dtype=np.uint64))
-    item_salt = splitmix64_array(
-        np.arange(n_scored, dtype=np.uint64) ^ np.uint64(0x5851F42D4C957F2D))
+    d_out = np.bincount(src, minlength=n_scored).astype(np.float64)
+    d_in = np.bincount(tgt, minlength=n_scored).astype(np.float64)
+    dyads = sparse.csr_matrix((np.ones(m), (src, tgt)),
+                              shape=(n_scored, n_scored))
     scale = float(np.abs(vals).max())
     tiny = m * (1e-12 * max(1.0, scale)) ** 2
 
     rhos = np.empty(n_perm)
-    chunk = max(16, 8_000_000 // max(1, 2 * m + n_scored))
+    # 250k float64 (2 MB) per [block, n_scored] array stays within a 4 MB
+    # per-core L2 cache and keeps peak memory low; 1M-element blocks ran
+    # slower on such a core
+    chunk = max(16, 250_000 // n_scored)
     for lo in range(0, n_perm, chunk):
         hi = min(lo + chunk, n_perm)
-        keys = splitmix64_array(rep_seeds[lo:hi, None] ^ item_salt[None, :])
-        perm = np.argsort(keys, axis=1, kind="stable")
-        sp = vals[perm]
-        x = sp[:, src]
-        y = sp[:, tgt]
-        x -= x.mean(axis=1, keepdims=True)
-        y -= y.mean(axis=1, keepdims=True)
-        sxx = np.einsum("ij,ij->i", x, x)
-        syy = np.einsum("ij,ij->i", y, y)
-        sxy = np.einsum("ij,ij->i", x, y)
+        s = vals[np.argsort(_replicate_keys(seed, lo, hi, n_scored), axis=1)]
+        # Centred moments, not sum(x**2) - sum(x)**2 / m: the raw form
+        # cancels to rounding noise near eps * m * scale**2, far above
+        # `tiny`, and would keep replicates with a constant margin.
+        xc = s - (s @ d_out / m)[:, None]
+        yc = s - (s @ d_in / m)[:, None]
+        sxx = (xc * xc) @ d_out
+        syy = (yc * yc) @ d_in
+        sxy = np.einsum("ij,ji->i", xc, dyads @ yc.T)
         ok = (sxx > tiny) & (syy > tiny)
         block = np.full(hi - lo, np.nan)
         block[ok] = sxy[ok] / np.sqrt(sxx[ok] * syy[ok])
@@ -187,19 +219,17 @@ def mixing_matrix(g: RetweetGraph,
     if not labels:
         raise DegenerateInputError("no classified nodes")
     lut = {lab: i for i, lab in enumerate(labels)}
-    e = np.zeros((len(labels), len(labels)))
-    n_edges = 0
-    for t, s in zip(g.targets, g.sources):
-        if t == s:
-            continue
-        ct = node_classes[int(t)]
-        cs = node_classes[int(s)]
-        if ct is None or cs is None:
-            continue
-        e[lut[cs], lut[ct]] += 1.0
-        n_edges += 1
+    code = np.array([-1 if c is None else lut[c] for c in node_classes],
+                    dtype=np.int64)
+    k = len(labels)
+    cs = code[g.sources]
+    ct = code[g.targets]
+    keep = (g.targets != g.sources) & (cs >= 0) & (ct >= 0)
+    n_edges = int(keep.sum())
     if n_edges == 0:
         raise DegenerateInputError("no dyads with both endpoints classified")
+    e = np.bincount(cs[keep] * k + ct[keep],
+                    minlength=k * k).reshape(k, k).astype(np.float64)
     e /= n_edges
     return MixingMatrix(labels=labels, e=e, n_edges=n_edges)
 

@@ -176,6 +176,87 @@ def pearson_plain(x, y) -> float:
     return float((xm * ym).sum() / np.sqrt((xm * xm).sum() * (ym * ym).sum()))
 
 
+_M64 = (1 << 64) - 1
+
+
+def splitmix64_int(x: int) -> int:
+    """splitmix64 on a Python integer, reduced mod 2**64 at every step."""
+    x = (x + 0x9E3779B97F4A7C15) & _M64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _M64
+    return x ^ (x >> 31)
+
+
+def replicate_order(seed: int, k: int, n_items: int) -> list[int]:
+    """Permutation replicate k of the splitmix64 contract, by a stable sort.
+
+    Item i gets key splitmix64(splitmix64(seed + k) ^ salt_i) with
+    salt_i = splitmix64(i ^ 0x5851F42D4C957F2D); position i of the result
+    holds the item with the i-th smallest key.
+    """
+    rep = splitmix64_int((seed + k) & _M64)
+    keys = [splitmix64_int(rep ^ splitmix64_int(i ^ 0x5851F42D4C957F2D))
+            for i in range(n_items)]
+    return sorted(range(n_items), key=lambda i: keys[i])
+
+
+def mixing_matrix_loop(g: RetweetGraph, node_classes):
+    """(labels, e, n_edges) by tallying edges one at a time.
+
+    Self-loops and edges with an unclassified endpoint are skipped; rows
+    are the retweeter's class.
+    """
+    labels = tuple(sorted({c for c in node_classes if c is not None}))
+    row = {lab: i for i, lab in enumerate(labels)}
+    e = np.zeros((len(labels), len(labels)))
+    n_edges = 0
+    for t, s in zip(g.targets.tolist(), g.sources.tolist()):
+        if t == s or node_classes[s] is None or node_classes[t] is None:
+            continue
+        e[row[node_classes[s]], row[node_classes[t]]] += 1.0
+        n_edges += 1
+    return labels, (e / n_edges if n_edges else e), n_edges
+
+
+def permutation_null_literal(g: RetweetGraph, scores, n_perm: int, seed: int):
+    """Permutation null of the dyad correlation, one replicate at a time.
+
+    Scored nodes are taken in index order and dyads are the distinct
+    (source, target) pairs of two different scored nodes. Replicate k
+    reassigns the scores by `replicate_order`, gathers the per-dyad
+    (retweeter, retweeted) values and takes their Pearson correlation; a
+    replicate whose centred margin sum of squares is at most
+    m * (1e-12 * max(1, max|score|))**2 is skipped. Returns
+    (observed rho, list of kept rhos, number skipped).
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    scored = [i for i in range(g.n) if not np.isnan(scores[i])]
+    pos = {node: p for p, node in enumerate(scored)}
+    pairs = sorted({(s, t) for s, t in zip(g.sources.tolist(), g.targets.tolist())
+                    if s != t and s in pos and t in pos})
+    vals = [float(scores[i]) for i in scored]
+    m = len(pairs)
+    tiny = m * (1e-12 * max(1.0, max(abs(v) for v in vals))) ** 2
+    rho_obs = pearson_plain([vals[pos[s]] for s, _ in pairs],
+                            [vals[pos[t]] for _, t in pairs])
+    kept = []
+    skipped = 0
+    for k in range(n_perm):
+        order = replicate_order(seed, k, len(vals))
+        perm = [vals[order[p]] for p in range(len(vals))]
+        x = np.array([perm[pos[s]] for s, _ in pairs])
+        y = np.array([perm[pos[t]] for _, t in pairs])
+        xc = x - x.mean()
+        yc = y - y.mean()
+        sxx = float((xc * xc).sum())
+        syy = float((yc * yc).sum())
+        if sxx <= tiny or syy <= tiny:
+            skipped += 1
+            continue
+        kept.append(float((xc * yc).sum()) / np.sqrt(sxx * syy))
+    return rho_obs, kept, skipped
+
+
 def agreement_fraction(assignment, truth) -> float:
     """Best label agreement between a found partition and planted blocs.
 

@@ -203,6 +203,27 @@ def test_scores_csv_rejects_unknown_class(tmp_path):
         parse_scores_csv(p)
 
 
+@pytest.mark.parametrize("parse", [parse_edges, parse_followership,
+                                   parse_tweets, parse_partition_csv,
+                                   parse_scores_csv])
+def test_parsers_reject_non_utf8(tmp_path, parse):
+    p = tmp_path / "input.txt"
+    p.write_bytes(b"\xff\xfe{}\n")
+    with pytest.raises(InputError, match="not UTF-8") as exc:
+        parse(p)
+    assert exc.value.path == p
+    assert exc.value.line == 1
+
+
+def test_non_utf8_line_is_exact_past_the_first_chunk(tmp_path):
+    """The text layer decodes ahead in chunks; the reported line is still
+    the one holding the bad byte."""
+    p = tmp_path / "edges.tsv"
+    p.write_bytes(b"a\tb\t1\n" * 3000 + b"caf\xe9\tb\n" + b"a\tb\n" * 10)
+    with pytest.raises(InputError, match="edges.tsv:3001: not UTF-8"):
+        parse_edges(p)
+
+
 def test_write_csv_formats(tmp_path):
     p = tmp_path / "out.csv"
     write_csv(p, ["k", "v"], [("pi", 0.1), ("none", None), ("i", 7)],

@@ -106,6 +106,9 @@ def test_load_config_rejects_bad_input(tmp_path):
     p.write_text("edges=e\nfollowership=f\nout_dir=o\nn_perm=lots\n")
     with pytest.raises(InputError, match="n_perm"):
         load_config(p)
+    p.write_bytes(b"edges=e\nfollowership=f\xff\nout_dir=o\n")
+    with pytest.raises(InputError, match="run.cfg:2: not UTF-8"):
+        load_config(p)
 
 
 def test_auto_size_floor():
@@ -331,6 +334,20 @@ def test_cli_exit_code_subprocess(tmp_path):
         capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
+
+
+def test_cli_non_utf8_input_subprocess(tmp_path):
+    edges = tmp_path / "edges.tsv"
+    edges.write_bytes(b"\xff\xfea\tb\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"edges={edges}\nfollowership={tmp_path / 'f.csv'}\n"
+                   f"out_dir={tmp_path / 'out'}\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "rtpol", "report", "--config", str(cfg)],
+        capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "not UTF-8" in proc.stderr
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from rtpol import EdgeRecord, build_graph
 from rtpol import assortativity_r, assortativity_report, classes_from_scores
 from rtpol import dyad_correlation, mixing_matrix, permutation_test
 from rtpol.errors import DegenerateInputError, InputError
+from rtpol.polarization import SKIP_WARN_FRACTION, _replicate_keys
 from rtpol.synth import SyntheticSpec, account_ids, planted_edges
 
 PUBLISHED_MIXING = np.array([[0.43, 0.057], [0.044, 0.47]])
@@ -153,6 +155,82 @@ def test_degenerate_replicates_skipped_and_warned():
     assert 0.9 < res.sd < 1.1
 
 
+def test_constant_margin_skipped_despite_cancellation():
+    """Three disjoint dyads over scores {0.3 x3, 0.7 x3}. A margin that is
+    constant at 0.7 has a raw-moment sum of squares of about 2e-16, above
+    `tiny`, but a centred one below it; only the centred form skips it."""
+    g = build_graph([EdgeRecord("a", "b"), EdgeRecord("c", "d"),
+                     EdgeRecord("e", "f")])
+    s = np.array([{"a": 0.3, "b": 0.3, "c": 0.3}.get(x, 0.7) for x in g.ids])
+    idx = {x: i for i, x in enumerate(g.ids)}
+    sources = [idx[x] for x in "bdf"]
+    targets = [idx[x] for x in "ace"]
+
+    def degenerate(per) -> bool:
+        return (len({per[i] for i in sources}) == 1
+                or len({per[i] for i in targets}) == 1)
+
+    orderings = list(itertools.permutations(range(6)))
+    bad = {o for o in orderings if degenerate([s[i] for i in o])}
+    assert len(bad) / len(orderings) == pytest.approx(0.1)
+
+    n_perm = 600
+    res = permutation_test(g, s, n_perm=n_perm, seed=11)
+    expected = sum(tuple(orc.replicate_order(11, k, 6)) in bad
+                   for k in range(n_perm))
+    assert 30 < expected < 90
+    assert res.n_skipped == expected
+    assert res.warning
+
+
+def test_permutation_matches_replicate_contract_oracle():
+    rng = np.random.default_rng(41)
+    checked = loops = reciprocal = with_skips = 0
+    while checked < 8:
+        g = orc.random_graph(rng, 9)
+        if checked % 2:
+            scores = rng.choice([-1.0, 0.25, 2.0], size=g.n)
+        else:
+            scores = rng.normal(size=g.n)
+        scores[rng.random(g.n) < 0.2] = np.nan
+        try:
+            dyad_correlation(g, scores)
+        except DegenerateInputError:
+            continue
+        n_perm = 120
+        seed = int(rng.integers(0, 2**63))
+        rho_obs, kept, skipped = orc.permutation_null_literal(g, scores,
+                                                              n_perm, seed)
+        if len(kept) < 2 or np.std(kept) == 0.0:
+            with pytest.raises(DegenerateInputError):
+                permutation_test(g, scores, n_perm=n_perm, seed=seed)
+            continue
+        res = permutation_test(g, scores, n_perm=n_perm, seed=seed)
+        mean = float(np.mean(kept))
+        sd = float(np.std(kept, ddof=1))
+        assert res.n_skipped == skipped
+        assert res.warning == (skipped > SKIP_WARN_FRACTION * n_perm)
+        assert math.isclose(res.mean, mean, rel_tol=1e-12)
+        assert math.isclose(res.sd, sd, rel_tol=1e-12)
+        assert math.isclose(res.z, (rho_obs - mean) / sd, rel_tol=1e-12)
+        pairs = set(zip(g.sources.tolist(), g.targets.tolist()))
+        loops += any(s == t for s, t in pairs)
+        reciprocal += any((t, s) in pairs for s, t in pairs if s != t)
+        with_skips += skipped > 0
+        checked += 1
+    assert loops and reciprocal and with_skips
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**63 + 5, 2**64 - 3])
+def test_replicate_keys_distinct_so_any_argsort_is_stable(seed):
+    keys = _replicate_keys(seed, 0, 64, 3000)
+    ordered = np.sort(keys, axis=1)
+    assert (ordered[:, 1:] != ordered[:, :-1]).all()
+    assert np.array_equal(np.argsort(keys, axis=1),
+                          np.argsort(keys, axis=1, kind="stable"))
+    assert np.argsort(keys[5]).tolist() == orc.replicate_order(seed, 5, 3000)
+
+
 def test_permutation_exchangeability_across_master_seeds():
     g, scores = polarized_graph(3, p_out=0.02)
     n_perm = 1_500
@@ -222,6 +300,27 @@ def test_mixing_matrix_no_classified_edges():
     g = build_graph([EdgeRecord("a", "b")])
     with pytest.raises(DegenerateInputError):
         mixing_matrix(g, [None, None])
+
+
+def test_mixing_matrix_matches_loop_oracle():
+    rng = np.random.default_rng(23)
+    checked = loops = 0
+    for _ in range(40):
+        g = orc.random_graph(rng, 12)
+        classes = [[None, "left", "right", "centre"][int(c)]
+                   for c in rng.integers(0, 4, size=g.n)]
+        labels, e, n_edges = orc.mixing_matrix_loop(g, classes)
+        if n_edges == 0:
+            with pytest.raises(DegenerateInputError):
+                mixing_matrix(g, classes)
+            continue
+        mix = mixing_matrix(g, classes)
+        assert mix.labels == labels
+        assert mix.n_edges == n_edges
+        assert mix.e.dtype == e.dtype and mix.e.tobytes() == e.tobytes()
+        loops += bool((g.sources == g.targets).any())
+        checked += 1
+    assert checked >= 30 and loops
 
 
 def test_assortativity_r_pure_cases():

@@ -16,16 +16,15 @@ from .errors import (AnchorError, ConvergenceError, DegenerateInputError,
 from .graph import build_graph, largest_weak_component
 from .centrality import (PageRankParams, degree_scores, hits, pagerank,
                          modular_degree_ratio, top_k)
-from .community import (MapEquationParams, ModularityParams,
-                        community_profiles, infomap, louvain)
+from .community import MapEquationParams, ModularityParams, infomap, louvain
 from .io import (parse_edges, parse_followership, parse_partition_csv,
                  parse_scores_csv, parse_tweets, write_csv, write_json)
 from .pca import first_principal_component, node_score_array, score_accounts
-from .pipeline import load_config, run_report
+from .pipeline import (load_config, run_report, write_assortativity,
+                       write_centrality, write_loadings, write_partition,
+                       write_profiles, write_scores, write_text)
 from .polarization import assortativity_report
 from .synth import SyntheticSpec, generate_bundle
-from .text import (chi_square, hashtag_top_per_community, keyword_subset,
-                   unique_fraction, word_counts_by_class)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -113,14 +112,9 @@ def _cmd_score(args) -> None:
     anchor = args.anchor or matrix.media[0]
     loadings = first_principal_component(matrix, anchor)
     scores = score_accounts(matrix, loadings)
-    prov = f"anchor={anchor} dropped_zero_rows={dropped}"
-    write_csv(args.out, ("account_id", "score", "class"),
-              ((a, scores.scores[a], scores.classes[a])
-               for a in sorted(scores.scores)), prov)
+    write_scores(args.out, scores, f"anchor={anchor} dropped_zero_rows={dropped}")
     if args.loadings_out:
-        write_csv(args.loadings_out, ("media", "loading"),
-                  zip(loadings.media, loadings.loadings),
-                  prov + f" explained_variance={loadings.explained_variance!r}")
+        write_loadings(args.loadings_out, loadings, dropped, "")
 
 
 def _cmd_communities(args) -> None:
@@ -130,17 +124,12 @@ def _cmd_communities(args) -> None:
     else:
         part = infomap(g, MapEquationParams(tau=args.tau), seed=args.seed)
     prov = f"method={args.method} gamma={args.gamma} tau={args.tau} seed={args.seed}"
-    write_csv(args.out, ("node_id", "community"),
-              ((g.ids[i], int(part.assignment[i])) for i in range(g.n)), prov)
+    write_partition(args.out, g, part, prov)
     if args.profiles_out:
         if not args.scores:
             raise InputError("--profiles-out requires --scores")
         node_scores = node_score_array(parse_scores_csv(args.scores), g.ids)
-        profs = community_profiles(part, node_scores)
-        write_csv(args.profiles_out,
-                  ("community", "size", "n_left", "n_right", "mean_score", "shannon"),
-                  ((p.community, p.size, p.n_left, p.n_right, p.mean_score,
-                    p.shannon) for p in profs), prov)
+        write_profiles(args.profiles_out, part, node_scores, prov)
 
 
 def _cmd_centrality(args) -> None:
@@ -172,9 +161,7 @@ def _cmd_centrality(args) -> None:
         if len(scores) > 1:
             out = out.with_name(f"{out.stem}_{cs.kind}{out.suffix}")
         order = (top_k(cs, args.topk) if args.topk else range(g.n))
-        write_csv(out, ("node_id", "score"),
-                  ((g.ids[int(i)], float(cs.values[int(i)])) for i in order),
-                  prov + f" kind={cs.kind}")
+        write_centrality(out, g, cs, order, prov + f" kind={cs.kind}")
 
 
 def _cmd_assort(args) -> None:
@@ -189,46 +176,17 @@ def _cmd_assort(args) -> None:
         drop = matrix.media
     report = assortativity_report(g, node_scores, n_perm=args.permutations,
                                   seed=args.seed, drop_nodes=drop)
-    payload = report.to_json_dict()
-    payload["seed"] = args.seed
-    payload["dropped_accounts"] = list(drop)
-    write_json(args.out, payload)
+    write_assortativity(args.out, report, args.seed, drop)
 
 
 def _cmd_text(args) -> None:
     corpus = parse_tweets(args.tweets)
     scores = parse_scores_csv(args.scores)
-    out_dir = args.out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-    table = word_counts_by_class(corpus, scores)
-    chi = chi_square(table)
-    prov = f"excluded_tweets={table.n_excluded_tweets}"
-    write_csv(out_dir / "word_counts.csv",
-              ("token", "left_count", "right_count", "chi2"),
-              ((r.token, r.f_left, r.f_right, r.chi2) for r in chi.rows), prov)
-    if args.partition:
-        community_of = parse_partition_csv(args.partition)
-        covered = [rec for rec in corpus if rec.account in community_of]
-        tags = hashtag_top_per_community(covered, community_of)
-        write_csv(out_dir / "hashtags.csv", ("community", "hashtag", "count"),
-                  ((c, tag, cnt) for c, (tag, cnt) in sorted(tags.items())),
-                  prov + f" skipped_tweets={len(corpus) - len(covered)}")
-    unique: dict = {"overall": {}, "keywords": {}}
-    for side in ("left", "right"):
-        stats = unique_fraction([r for r in corpus
-                                 if scores.classes.get(r.account) == side])
-        unique["overall"][side] = {"total": stats.total, "unique": stats.unique,
-                                   "fraction": stats.fraction}
-    for kw in args.keyword:
-        sub = keyword_subset(corpus, kw)
-        entry = {}
-        for side in ("left", "right"):
-            stats = unique_fraction([r for r in sub
-                                     if scores.classes.get(r.account) == side])
-            entry[side] = {"total": stats.total, "unique": stats.unique,
-                           "fraction": stats.fraction}
-        unique["keywords"][kw] = entry
-    write_json(out_dir / "unique.json", unique)
+    community_of = (parse_partition_csv(args.partition) if args.partition
+                    else None)
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    write_text(args.out_dir.joinpath, corpus, scores, community_of,
+               args.keyword, "", {})
 
 
 def _cmd_synth(args) -> None:

@@ -20,25 +20,28 @@ import os
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 import scipy
 
 from . import __version__
 from .errors import InputError, StageError
-from .graph import build_graph, largest_weak_component
-from .centrality import (PageRankParams, degree_scores, hits, pagerank,
-                         modular_degree_ratio, top_k)
+from .graph import RetweetGraph, build_graph, largest_weak_component
+from .centrality import (CentralityScores, PageRankParams, degree_scores,
+                         hits, pagerank, modular_degree_ratio, top_k)
 from .community import (DEFAULT_GAMMA_GRID, MapEquationParams,
-                        ModularityParams, community_profiles, infomap,
-                        louvain, map_equation, modularity, resolution_sweep)
+                        ModularityParams, Partition, community_profiles,
+                        infomap, louvain, map_equation, modularity,
+                        resolution_sweep)
 from .io import (open_utf8, parse_edges, parse_followership, parse_tweets,
                  write_csv, write_json)
-from .pca import first_principal_component, node_score_array, score_accounts
-from .polarization import assortativity_report
+from .pca import (MediaLoadings, MediaScores, first_principal_component,
+                  node_score_array, score_accounts)
+from .polarization import AssortativityReport, assortativity_report
 from .rng import derive_seed
-from .text import (chi_square, hashtag_top_per_community, keyword_subset,
-                   unique_fraction, word_counts_by_class)
+from .text import (TweetRecord, chi_square, hashtag_top_per_community,
+                   keyword_subset, unique_fraction, word_counts_by_class)
 
 ENV_OUT_DIR = "RTPOL_OUT_DIR"
 
@@ -169,6 +172,97 @@ class _StageWriter:
         return names
 
 
+# ---------------------------------------------------------------------------
+# Writers of the formats that both `run_report` and the CLI subcommands
+# produce. Callers pass their own provenance prefix. Layer functions are
+# reached through this module's globals, which the benchmark tracer rebinds.
+# ---------------------------------------------------------------------------
+
+
+def _prov(*parts: str) -> str:
+    return " ".join(p for p in parts if p)
+
+
+def write_scores(path: Path, scores: MediaScores, prov: str) -> None:
+    write_csv(path, ("account_id", "score", "class"),
+              ((a, scores.scores[a], scores.classes[a])
+               for a in sorted(scores.scores)), prov)
+
+
+def write_loadings(path: Path, loadings: MediaLoadings, dropped: int,
+                   prov: str) -> None:
+    write_csv(path, ("media", "loading"),
+              zip(loadings.media, loadings.loadings),
+              _prov(prov, f"anchor={loadings.anchor}",
+                    f"explained_variance={loadings.explained_variance!r}",
+                    f"dropped_zero_rows={dropped}"))
+
+
+def write_partition(path: Path, g: RetweetGraph, part: Partition,
+                    prov: str) -> None:
+    write_csv(path, ("node_id", "community"),
+              ((g.ids[i], int(part.assignment[i])) for i in range(g.n)), prov)
+
+
+def write_profiles(path: Path, part: Partition, node_scores: np.ndarray,
+                   prov: str) -> None:
+    write_csv(path, ("community", "size", "n_left", "n_right", "mean_score",
+                     "shannon"),
+              ((p.community, p.size, p.n_left, p.n_right, p.mean_score,
+                p.shannon) for p in community_profiles(part, node_scores)),
+              prov)
+
+
+def write_centrality(path: Path, g: RetweetGraph, cs: CentralityScores,
+                     order: Iterable[int], prov: str) -> None:
+    write_csv(path, ("node_id", "score"),
+              ((g.ids[i], float(cs.values[i])) for i in order), prov)
+
+
+def write_assortativity(path: Path, report: AssortativityReport, seed: int,
+                        dropped: Sequence[str]) -> None:
+    payload = report.to_json_dict()
+    payload["seed"] = seed
+    payload["dropped_accounts"] = list(dropped)
+    write_json(path, payload)
+
+
+def _unique_by_side(records: Sequence[TweetRecord],
+                    classes: Mapping[str, str]) -> dict:
+    out = {}
+    for side in ("left", "right"):
+        stats = unique_fraction([r for r in records
+                                 if classes.get(r.account) == side])
+        out[side] = {"total": stats.total, "unique": stats.unique,
+                     "fraction": stats.fraction}
+    return out
+
+
+def write_text(path_of: Callable[[str], Path], corpus: list[TweetRecord],
+               scores: MediaScores, community_of: Mapping[str, int] | None,
+               keywords: Sequence[str], prov: str, meta: Mapping) -> None:
+    """word_counts.csv, hashtags.csv when `community_of` is given, and
+    unique.json, which also holds the `meta` keys; `path_of` maps each
+    file name to the path to write."""
+    table = word_counts_by_class(corpus, scores)
+    chi = chi_square(table)
+    write_csv(path_of("word_counts.csv"),
+              ("token", "left_count", "right_count", "chi2"),
+              ((r.token, r.f_left, r.f_right, r.chi2) for r in chi.rows),
+              _prov(prov, f"excluded_tweets={table.n_excluded_tweets}"))
+    if community_of is not None:
+        covered = [rec for rec in corpus if rec.account in community_of]
+        tags = hashtag_top_per_community(covered, community_of)
+        write_csv(path_of("hashtags.csv"), ("community", "hashtag", "count"),
+                  ((c, tag, cnt) for c, (tag, cnt) in sorted(tags.items())),
+                  _prov(prov, f"skipped_tweets={len(corpus) - len(covered)}"))
+    write_json(path_of("unique.json"), {
+        "overall": _unique_by_side(corpus, scores.classes),
+        "keywords": {kw: _unique_by_side(keyword_subset(corpus, kw),
+                                         scores.classes) for kw in keywords},
+        **meta})
+
+
 def run_report(config: PipelineConfig) -> dict:
     """Run all stages; returns the manifest dictionary.
 
@@ -252,14 +346,8 @@ def run_report(config: PipelineConfig) -> dict:
         state["media_labels"] = list(matrix.media)
         state["scores"] = scores
         state["node_scores"] = node_score_array(scores, state["g"].ids)
-        write_csv(writer.path("loadings.csv"), ("media", "loading"),
-                  zip(loadings.media, loadings.loadings),
-                  prov + f" anchor={anchor}"
-                  f" explained_variance={loadings.explained_variance!r}"
-                  f" dropped_zero_rows={dropped}")
-        write_csv(writer.path("scores.csv"), ("account_id", "score", "class"),
-                  ((a, scores.scores[a], scores.classes[a])
-                   for a in sorted(scores.scores)), prov)
+        write_loadings(writer.path("loadings.csv"), loadings, dropped, prov)
+        write_scores(writer.path("scores.csv"), scores, prov)
 
     def stage_centrality():
         g = state["g"]
@@ -268,10 +356,8 @@ def run_report(config: PipelineConfig) -> dict:
         indeg = degree_scores(g, "in")
         outdeg = degree_scores(g, "out")
         for cs in (pr, hub, auth, indeg, outdeg):
-            write_csv(writer.path(f"centrality_{cs.kind}.csv"),
-                      ("node_id", "score"),
-                      ((g.ids[i], float(cs.values[i])) for i in range(g.n)),
-                      prov)
+            write_centrality(writer.path(f"centrality_{cs.kind}.csv"), g, cs,
+                             range(g.n), prov)
         rows = []
         for cs in (pr, hub, auth, indeg, outdeg):
             for rank, i in enumerate(top_k(cs, config.top_k), start=1):
@@ -291,10 +377,7 @@ def run_report(config: PipelineConfig) -> dict:
         q = modularity(g, part_l, ModularityParams(gamma=1.0))
         ell = map_equation(g, part_i, MapEquationParams(tau=config.tau))
         for name, part in (("louvain", part_l), ("infomap", part_i)):
-            write_csv(writer.path(f"partition_{name}.csv"),
-                      ("node_id", "community"),
-                      ((g.ids[i], int(part.assignment[i])) for i in range(g.n)),
-                      prov)
+            write_partition(writer.path(f"partition_{name}.csv"), g, part, prov)
         floor = (config.size_floor if config.size_floor is not None
                  else auto_size_floor(g.n))
         state["size_floor"] = floor
@@ -316,12 +399,8 @@ def run_report(config: PipelineConfig) -> dict:
         g = state["g"]
         node_scores = state["node_scores"]
         for name in ("louvain", "infomap"):
-            profs = community_profiles(state[f"part_{name}"], node_scores)
-            write_csv(writer.path(f"profiles_{name}.csv"),
-                      ("community", "size", "n_left", "n_right",
-                       "mean_score", "shannon"),
-                      ((p.community, p.size, p.n_left, p.n_right,
-                        p.mean_score, p.shannon) for p in profs), prov)
+            write_profiles(writer.path(f"profiles_{name}.csv"),
+                           state[f"part_{name}"], node_scores, prov)
         ratios = modular_degree_ratio(g, state["part_louvain"].assignment)
         indeg_rank = np.argsort(-g.in_strength, kind="stable")[:config.top_k]
         write_csv(writer.path("modular_degree.csv"),
@@ -337,10 +416,8 @@ def run_report(config: PipelineConfig) -> dict:
                                       n_perm=config.n_perm,
                                       seed=derive_seed(seed, 23),
                                       drop_nodes=drop)
-        payload = report.to_json_dict()
-        payload["seed"] = seed
-        payload["dropped_accounts"] = list(drop)
-        write_json(writer.path("assortativity.json"), payload)
+        write_assortativity(writer.path("assortativity.json"), report, seed,
+                            drop)
 
     def stage_text():
         if config.tweets is None:
@@ -349,43 +426,11 @@ def run_report(config: PipelineConfig) -> dict:
             raise InputError(f"tweets file {config.tweets} does not exist")
         manifest["inputs"]["tweets"] = _sha256(config.tweets)
         corpus = parse_tweets(config.tweets)
-        scores = state["scores"]
-        table = word_counts_by_class(corpus, scores)
-        chi = chi_square(table)
-        write_csv(writer.path("word_counts.csv"),
-                  ("token", "left_count", "right_count", "chi2"),
-                  ((r.token, r.f_left, r.f_right, r.chi2) for r in chi.rows),
-                  prov + f" excluded_tweets={table.n_excluded_tweets}")
         g = state["g"]
         part = state["part_louvain"]
         community_of = {g.ids[i]: int(part.assignment[i]) for i in range(g.n)}
-        covered = [rec for rec in corpus if rec.account in community_of]
-        tags = hashtag_top_per_community(covered, community_of)
-        write_csv(writer.path("hashtags.csv"),
-                  ("community", "hashtag", "count"),
-                  ((c, tag, cnt) for c, (tag, cnt) in sorted(tags.items())),
-                  prov + f" skipped_tweets={len(corpus) - len(covered)}")
-        by_class: dict[str, list] = {"left": [], "right": []}
-        for rec in corpus:
-            side = scores.classes.get(rec.account)
-            if side in by_class:
-                by_class[side].append(rec)
-        unique: dict = {"overall": {}, "keywords": {}, "seed": seed}
-        for side, subset in by_class.items():
-            stats = unique_fraction(subset)
-            unique["overall"][side] = {"total": stats.total,
-                                       "unique": stats.unique,
-                                       "fraction": stats.fraction}
-        for kw in config.keywords:
-            sub = keyword_subset(corpus, kw)
-            entry = {}
-            for side in ("left", "right"):
-                stats = unique_fraction([r for r in sub
-                                         if scores.classes.get(r.account) == side])
-                entry[side] = {"total": stats.total, "unique": stats.unique,
-                               "fraction": stats.fraction}
-            unique["keywords"][kw] = entry
-        write_json(writer.path("unique.json"), unique)
+        write_text(writer.path, corpus, state["scores"], community_of,
+                   config.keywords, prov, {"seed": seed})
 
     for name, fn in zip(STAGES, (stage_ingest, stage_lwcc, stage_scores,
                                  stage_centrality, stage_communities,

@@ -14,8 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AnchorError, ConvergenceError, DegenerateInputError, InputError
-from .rng import generator
+from .errors import AnchorError, DegenerateInputError, InputError
 
 #: scores with absolute value below this band are reported as unclassified
 ZERO_BAND = 1e-12
@@ -58,6 +57,7 @@ class MediaLoadings:
 
     `column_means` are the followership column means the loadings were
     computed against; scoring subtracts them so the projection is centered.
+    `eigengap` is the leading covariance eigenvalue minus the second.
     """
 
     media: tuple[str, ...]
@@ -65,6 +65,7 @@ class MediaLoadings:
     column_means: np.ndarray
     anchor: str
     explained_variance: float
+    eigengap: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,14 +89,12 @@ def sign_class(score: float) -> str:
     return "unclassified"
 
 
-def first_principal_component(m: FollowershipMatrix, anchor: str,
-                              tol: float = 1e-12,
-                              max_iters: int = 100_000) -> MediaLoadings:
+def first_principal_component(m: FollowershipMatrix,
+                              anchor: str) -> MediaLoadings:
     """Leading eigenvector of the column-centered covariance, sign-anchored.
 
-    The covariance uses divisor n_f - 1. The eigenvector is found by power
-    iteration; a random restart guards against a start vector orthogonal to
-    the leading eigenspace. Degenerate input (fewer than two rows, or all
+    The covariance uses divisor n_f - 1 and is decomposed densely (it is
+    only media x media). Degenerate input (fewer than two rows, or all
     rows identical) is rejected.
     """
     if anchor not in m.media:
@@ -112,39 +111,19 @@ def first_principal_component(m: FollowershipMatrix, anchor: str,
     if not cov.any():
         raise DegenerateInputError("followership covariance is zero")
 
-    # fixed-seed random start: a deterministic ramp can land exactly in the
-    # orthogonal complement of the leading eigenspace, a random one cannot
-    n_media = len(m.media)
-    restarts = generator(0x9E3779B9)
-    v = restarts.standard_normal(n_media)
-    v /= np.linalg.norm(v)
-    residual = np.inf
-    for _ in range(max_iters):
-        u = cov @ v
-        norm = np.linalg.norm(u)
-        if norm < 1e-300:
-            # start vector fell into the null space; try a random direction
-            v = restarts.standard_normal(n_media)
-            v /= np.linalg.norm(v)
-            continue
-        u /= norm
-        residual = float(np.abs(u - v).max())
-        v = u
-        if residual < tol:
-            break
-    else:
-        raise ConvergenceError(
-            f"power iteration did not converge within {max_iters} iterations",
-            residual=residual, iterations=max_iters)
-
-    lam = float(v @ cov @ v)
+    eigvals, eigvecs = np.linalg.eigh(cov)  # ascending eigenvalues
+    v = eigvecs[:, -1]
+    lam = float(eigvals[-1])
+    # at least two media here: with one, every kept row follows it and the
+    # rows are identical
+    gap = lam - float(eigvals[-2])
     a = float(v[m.media.index(anchor)])
     if abs(a) < ZERO_BAND:
         raise AnchorError(f"anchor {anchor!r} has a zero loading; cannot orient the axis")
     if a < 0:
         v = -v
     return MediaLoadings(media=m.media, loadings=v, column_means=means.copy(),
-                         anchor=anchor, explained_variance=lam)
+                         anchor=anchor, explained_variance=lam, eigengap=gap)
 
 
 def score_accounts(m: FollowershipMatrix, loadings: MediaLoadings) -> MediaScores:

@@ -195,6 +195,7 @@ def write_loadings(path: Path, loadings: MediaLoadings, dropped: int,
               zip(loadings.media, loadings.loadings),
               _prov(prov, f"anchor={loadings.anchor}",
                     f"explained_variance={loadings.explained_variance!r}",
+                    f"eigengap={loadings.eigengap!r}",
                     f"dropped_zero_rows={dropped}"))
 
 

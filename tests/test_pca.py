@@ -21,6 +21,7 @@ def test_two_column_fixture_loadings_and_variance():
     load = first_principal_component(FIXTURE, anchor="m1")
     assert load.loadings == pytest.approx([INV_SQRT2, -INV_SQRT2], abs=1e-10)
     assert load.explained_variance == pytest.approx(2.0 / 3.0, abs=1e-12)
+    assert load.eigengap == pytest.approx(2.0 / 3.0, abs=1e-12)
     assert np.linalg.norm(load.loadings) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -75,6 +76,11 @@ def test_all_identical_rows_degenerate():
                            entries=np.array([[1, 0], [1, 0]]))
     with pytest.raises(DegenerateInputError):
         first_principal_component(m, anchor="m1")
+    # a single medium always gives identical rows, so no eigengap is needed
+    one = FollowershipMatrix(accounts=("a", "b", "c"), media=("m1",),
+                             entries=np.array([[1], [1], [1]]))
+    with pytest.raises(DegenerateInputError):
+        first_principal_component(one, anchor="m1")
 
 
 def test_single_row_degenerate():
@@ -130,7 +136,7 @@ def _random_matrix(rng, n_rows: int, n_cols: int) -> FollowershipMatrix:
 
 
 def test_loadings_match_dense_eigendecomposition():
-    """Power iteration agrees with a dense eigensolver across sizes."""
+    """Loadings, variance and eigengap agree with np.cov's spectrum."""
     rng = np.random.default_rng(42)
     sizes = [(10, 2), (25, 3), (60, 5), (120, 7), (300, 9),
              (500, 11), (1000, 13)]
@@ -145,6 +151,8 @@ def test_loadings_match_dense_eigendecomposition():
             assert orc.eigenspace_residual(basis, load.loadings) <= 1e-8
         _, _, ev = orc.pca_first_component(m.entries.astype(float))
         assert load.explained_variance == pytest.approx(ev, rel=1e-9)
+        vals = np.linalg.eigvalsh(np.cov(m.entries.astype(float), rowvar=False))
+        assert load.eigengap == pytest.approx(vals[-1] - vals[-2], abs=1e-12)
 
 
 def test_scores_center_and_match_variance():

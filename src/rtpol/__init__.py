@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .errors import (AnchorError, ConvergenceError, DegenerateInputError,
                      InputError, RtpolError, StageError)
 from .graph import (EdgeRecord, RetweetGraph, build_graph, degree_histogram,
-                    induced_subgraph, largest_weak_component, strengths)
+                    induced_subgraph, largest_weak_component)
 from .pca import (FollowershipMatrix, MediaLoadings, MediaScores,
                   classify_counts, first_principal_component,
                   node_score_array, score_accounts)

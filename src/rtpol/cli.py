@@ -221,16 +221,11 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _COMMANDS[args.command](args)
-    except ConvergenceError as exc:
+    except (InputError, DegenerateInputError, AnchorError, ConvergenceError,
+            StageError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc.cause, ConvergenceError) else 1
-    except (InputError, DegenerateInputError, AnchorError,
-            FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        cause = exc.cause if isinstance(exc, StageError) else exc
+        return 2 if isinstance(cause, ConvergenceError) else 1
     return 0
 
 

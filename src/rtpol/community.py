@@ -63,8 +63,6 @@ class ModularityParams:
 @dataclass(frozen=True)
 class MapEquationParams:
     tau: float = 0.15
-    tol: float = 1e-12
-    max_iters: int = 100_000
 
     def __post_init__(self):
         if not 0.0 < self.tau < 1.0:
@@ -310,7 +308,7 @@ def _build_flows(g: RetweetGraph, params: MapEquationParams,
     spread their non-teleport rate uniformly; those steps are unrecorded
     but still leave their module, so the rate is tracked separately.
     """
-    p = stationary_visit_rates(g, 1.0 - params.tau, params.tol, params.max_iters)
+    p = stationary_visit_rates(g, 1.0 - params.tau)
     out = g.out_strength.astype(np.float64)
     flows = np.zeros(g.n_edges)
     if g.n_edges:

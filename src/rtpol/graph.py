@@ -106,6 +106,9 @@ def build_graph(records: Iterable[EdgeRecord],
         s = intern(rec.source, "source")
         key = (t, s)
         agg[key] = agg.get(key, 0) + rec.count
+    if sum(agg.values()) > 2**53:
+        # strengths are summed in float64, which holds integers exactly to 2**53
+        raise InputError("total retweet count exceeds 2**53")
 
     if agg:
         pairs = np.array(sorted(agg), dtype=np.int64)
@@ -113,11 +116,6 @@ def build_graph(records: Iterable[EdgeRecord],
         return RetweetGraph(ids, pairs[:, 0], pairs[:, 1], counts)
     empty = np.zeros(0, dtype=np.int64)
     return RetweetGraph(ids, empty, empty, empty)
-
-
-def strengths(g: RetweetGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Per-node (in_strength, out_strength): times retweeted, retweets posted."""
-    return g.in_strength.copy(), g.out_strength.copy()
 
 
 def degree_histogram(g: RetweetGraph,

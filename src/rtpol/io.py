@@ -50,6 +50,17 @@ def open_utf8(path: Path, newline: str | None = None) -> Iterator[TextIO]:
         raise InputError("not UTF-8 text", path=path) from None
 
 
+def _csv_rows(fh: TextIO, path: Path) -> Iterator[list[str]]:
+    """csv.reader rows; a csv.Error, such as a field over the module's
+    size limit, raises InputError with the path and line."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise InputError(f"malformed CSV: {exc}", path=path,
+                         line=reader.line_num) from None
+
+
 def parse_edges(path: str | Path) -> list[EdgeRecord]:
     path = Path(path)
     records = []
@@ -84,11 +95,10 @@ def parse_followership(path: str | Path) -> tuple[FollowershipMatrix, int]:
     all-zero rows that were dropped."""
     path = Path(path)
     with open_utf8(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError("file is empty", path=path, line=1) from None
+        reader = _csv_rows(fh, path)
+        header = next(reader, None)
+        if header is None:
+            raise InputError("file is empty", path=path, line=1)
         if len(header) < 2 or header[0] != "account_id":
             raise InputError("header must be account_id followed by media labels",
                              path=path, line=1)
@@ -172,7 +182,7 @@ def parse_partition_csv(path: str | Path) -> dict[str, int]:
     path = Path(path)
     out: dict[str, int] = {}
     with open_utf8(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
+        for lineno, row in enumerate(_csv_rows(fh, path), start=1):
             if not row or row[0].startswith("#"):
                 continue
             if row[0] == "node_id":
@@ -193,7 +203,7 @@ def parse_scores_csv(path: str | Path) -> MediaScores:
     scores: dict[str, float] = {}
     classes: dict[str, str] = {}
     with open_utf8(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
+        for lineno, row in enumerate(_csv_rows(fh, path), start=1):
             if not row or row[0].startswith("#"):
                 continue
             if row[0] == "account_id":
@@ -221,8 +231,8 @@ def parse_scores_csv(path: str | Path) -> MediaScores:
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))  # numpy 2 reprs np.float64 as np.float64(...)
     return str(value)
 
 

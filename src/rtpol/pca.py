@@ -89,8 +89,7 @@ def sign_class(score: float) -> str:
     return "unclassified"
 
 
-def first_principal_component(m: FollowershipMatrix,
-                              anchor: str) -> MediaLoadings:
+def first_principal_component(m: FollowershipMatrix, anchor: str) -> MediaLoadings:
     """Leading eigenvector of the column-centered covariance, sign-anchored.
 
     The covariance uses divisor n_f - 1 and is decomposed densely (it is
@@ -114,9 +113,7 @@ def first_principal_component(m: FollowershipMatrix,
     eigvals, eigvecs = np.linalg.eigh(cov)  # ascending eigenvalues
     v = eigvecs[:, -1]
     lam = float(eigvals[-1])
-    # at least two media here: with one, every kept row follows it and the
-    # rows are identical
-    gap = lam - float(eigvals[-2])
+    gap = lam - float(eigvals[-2])  # one medium means identical rows, rejected above
     a = float(v[m.media.index(anchor)])
     if abs(a) < ZERO_BAND:
         raise AnchorError(f"anchor {anchor!r} has a zero loading; cannot orient the axis")

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -99,16 +99,11 @@ def load_config(path: str | Path) -> PipelineConfig:
             raise InputError(f"config key {key!r} has invalid value {raw[key]!r}",
                              path=path) from None
 
-    gammas = DEFAULT_GAMMA_GRID
-    if "gammas" in raw:
-        try:
-            gammas = tuple(float(v) for v in raw["gammas"].split(",") if v.strip())
-        except ValueError:
-            raise InputError(f"config key 'gammas' has invalid value {raw['gammas']!r}",
-                             path=path) from None
-        if not gammas:
-            raise InputError("config key 'gammas' must list at least one value",
-                             path=path)
+    gammas = parse_num("gammas", lambda v: tuple(
+        float(x) for x in v.split(",") if x.strip()), DEFAULT_GAMMA_GRID)
+    if not gammas:
+        raise InputError("config key 'gammas' must list at least one value",
+                         path=path)
     keywords = tuple(k.strip() for k in raw.get("keywords", "").split(",")
                      if k.strip())
     size_floor = None
@@ -172,15 +167,9 @@ class _StageWriter:
         return names
 
 
-# ---------------------------------------------------------------------------
-# Writers of the formats that both `run_report` and the CLI subcommands
-# produce. Callers pass their own provenance prefix. Layer functions are
-# reached through this module's globals, which the benchmark tracer rebinds.
-# ---------------------------------------------------------------------------
-
-
-def _prov(*parts: str) -> str:
-    return " ".join(p for p in parts if p)
+# Writers of the formats that both `run_report` and the CLI produce; callers
+# pass their provenance prefix, possibly empty. Layer calls go through this
+# module's globals.
 
 
 def write_scores(path: Path, scores: MediaScores, prov: str) -> None:
@@ -193,10 +182,9 @@ def write_loadings(path: Path, loadings: MediaLoadings, dropped: int,
                    prov: str) -> None:
     write_csv(path, ("media", "loading"),
               zip(loadings.media, loadings.loadings),
-              _prov(prov, f"anchor={loadings.anchor}",
-                    f"explained_variance={loadings.explained_variance!r}",
-                    f"eigengap={loadings.eigengap!r}",
-                    f"dropped_zero_rows={dropped}"))
+              f"{prov} anchor={loadings.anchor} explained_variance="
+              f"{loadings.explained_variance!r} eigengap={loadings.eigengap!r}"
+              f" dropped_zero_rows={dropped}".lstrip())
 
 
 def write_partition(path: Path, g: RetweetGraph, part: Partition,
@@ -222,10 +210,8 @@ def write_centrality(path: Path, g: RetweetGraph, cs: CentralityScores,
 
 def write_assortativity(path: Path, report: AssortativityReport, seed: int,
                         dropped: Sequence[str]) -> None:
-    payload = report.to_json_dict()
-    payload["seed"] = seed
-    payload["dropped_accounts"] = list(dropped)
-    write_json(path, payload)
+    write_json(path, {**report.to_json_dict(), "seed": seed,
+                      "dropped_accounts": list(dropped)})
 
 
 def _unique_by_side(records: Sequence[TweetRecord],
@@ -242,21 +228,20 @@ def _unique_by_side(records: Sequence[TweetRecord],
 def write_text(path_of: Callable[[str], Path], corpus: list[TweetRecord],
                scores: MediaScores, community_of: Mapping[str, int] | None,
                keywords: Sequence[str], prov: str, meta: Mapping) -> None:
-    """word_counts.csv, hashtags.csv when `community_of` is given, and
-    unique.json, which also holds the `meta` keys; `path_of` maps each
-    file name to the path to write."""
+    """word_counts.csv, hashtags.csv if `community_of` is given, and
+    unique.json plus the `meta` keys, each at `path_of(file name)`."""
     table = word_counts_by_class(corpus, scores)
     chi = chi_square(table)
     write_csv(path_of("word_counts.csv"),
               ("token", "left_count", "right_count", "chi2"),
               ((r.token, r.f_left, r.f_right, r.chi2) for r in chi.rows),
-              _prov(prov, f"excluded_tweets={table.n_excluded_tweets}"))
+              f"{prov} excluded_tweets={table.n_excluded_tweets}".lstrip())
     if community_of is not None:
         covered = [rec for rec in corpus if rec.account in community_of]
         tags = hashtag_top_per_community(covered, community_of)
         write_csv(path_of("hashtags.csv"), ("community", "hashtag", "count"),
                   ((c, tag, cnt) for c, (tag, cnt) in sorted(tags.items())),
-                  _prov(prov, f"skipped_tweets={len(corpus) - len(covered)}"))
+                  f"{prov} skipped_tweets={len(corpus) - len(covered)}".lstrip())
     write_json(path_of("unique.json"), {
         "overall": _unique_by_side(corpus, scores.classes),
         "keywords": {kw: _unique_by_side(keyword_subset(corpus, kw),
@@ -427,9 +412,8 @@ def run_report(config: PipelineConfig) -> dict:
             raise InputError(f"tweets file {config.tweets} does not exist")
         manifest["inputs"]["tweets"] = _sha256(config.tweets)
         corpus = parse_tweets(config.tweets)
-        g = state["g"]
-        part = state["part_louvain"]
-        community_of = {g.ids[i]: int(part.assignment[i]) for i in range(g.n)}
+        community_of = dict(zip(state["g"].ids,
+                                state["part_louvain"].assignment.tolist()))
         write_text(writer.path, corpus, state["scores"], community_of,
                    config.keywords, prov, {"seed": seed})
 

@@ -28,6 +28,8 @@ SKIP_WARN_FRACTION = 0.01
 
 @dataclass(frozen=True, eq=False)
 class PermutationResult:
+    rho: float
+    n_dyads: int
     n_perm: int
     mean: float
     sd: float
@@ -141,10 +143,11 @@ def permutation_test(g: RetweetGraph, node_scores: np.ndarray,
     originally scored nodes: scored node i takes the score of the item
     with the i-th smallest of the sort keys derived by splitmix64 from
     (seed + k) (`_replicate_keys`), so any replicate can be regenerated
-    independently. The returned z compares the observed correlation
-    against the null mean and standard deviation. Replicates with a
-    degenerate margin (centred sum of squares at most `tiny`) are skipped
-    and counted; more than 1% of them flips the warning flag.
+    independently. The returned z compares the observed correlation (`rho`,
+    over `n_dyads`) against the null mean and standard deviation.
+    Replicates with a degenerate margin (centred sum of squares at most
+    `tiny`) are skipped and counted; more than 1% of them flips the
+    warning flag.
 
     Replicates are evaluated in blocks without forming per-dyad values.
     The dyad margins of a permuted score vector s are repeats of it,
@@ -159,7 +162,7 @@ def permutation_test(g: RetweetGraph, node_scores: np.ndarray,
     """
     if n_perm < 2:
         raise InputError(f"need at least 2 permutation replicates, got {n_perm}")
-    rho_obs, _ = dyad_correlation(g, node_scores)
+    rho_obs, n_dyads = dyad_correlation(g, node_scores)
     vals, src, tgt = _dyad_positions(g, node_scores)
     n_scored = vals.size
     m = src.size
@@ -200,7 +203,8 @@ def permutation_test(g: RetweetGraph, node_scores: np.ndarray,
     if sd == 0.0:
         raise DegenerateInputError("permutation null has zero spread")
     return PermutationResult(
-        n_perm=n_perm, mean=mean, sd=sd, z=float((rho_obs - mean) / sd),
+        rho=rho_obs, n_dyads=n_dyads, n_perm=n_perm, mean=mean, sd=sd,
+        z=float((rho_obs - mean) / sd),
         n_skipped=n_skipped,
         warning=n_skipped > SKIP_WARN_FRACTION * n_perm)
 
@@ -277,13 +281,9 @@ def assortativity_report(g: RetweetGraph, node_scores: np.ndarray,
     if drop_nodes:
         dropped = {g.index_of[ext] for ext in drop_nodes if ext in g.index_of}
         keep = [i for i in range(g.n) if i not in dropped]
-        g, mapping = induced_subgraph(g, keep)
-        remapped = np.full(g.n, np.nan)
-        for old, new in mapping.items():
-            remapped[new] = scores[old]
-        scores = remapped
-    rho, n_dyads = dyad_correlation(g, scores)
+        g, _ = induced_subgraph(g, keep)  # keeps `keep`'s ascending order
+        scores = scores[keep]
     perm = permutation_test(g, scores, n_perm=n_perm, seed=seed)
     mix = mixing_matrix(g, classes_from_scores(scores))
-    return AssortativityReport(rho=rho, n_dyads=n_dyads, perm=perm,
+    return AssortativityReport(rho=perm.rho, n_dyads=perm.n_dyads, perm=perm,
                                mixing=mix, r=assortativity_r(mix))

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import oracles as orc
 from rtpol import EdgeRecord, build_graph, degree_histogram, induced_subgraph
-from rtpol import largest_weak_component, strengths
+from rtpol import largest_weak_component
 from rtpol.errors import InputError
 
 
@@ -28,7 +28,7 @@ def test_duplicate_records_aggregate():
 
 def test_two_cycle_strengths():
     g = build_graph([EdgeRecord("a", "b", 1), EdgeRecord("b", "a", 1)])
-    inn, out = strengths(g)
+    inn, out = g.in_strength, g.out_strength
     assert list(inn) == [1, 1]
     assert list(out) == [1, 1]
     assert g.w == 2
@@ -39,6 +39,17 @@ def test_nonpositive_count_rejected_with_record_index():
         build_graph([EdgeRecord("a", "b", 1), EdgeRecord("a", "c", 0)])
 
 
+def test_total_count_beyond_float64_exact_range_rejected():
+    # 10**30 overflowed int64; two 5*10**18 edges wrapped g.w and the
+    # strengths; 2**53 + 1 came back as an in-strength of 2**53
+    for counts in ([10**30], [5 * 10**18, 5 * 10**18], [2**53 + 1]):
+        records = [EdgeRecord("a", f"s{i}", c) for i, c in enumerate(counts)]
+        with pytest.raises(InputError, match="2\\*\\*53"):
+            build_graph(records)
+    g = build_graph([EdgeRecord("a", "b", 2**53 - 1), EdgeRecord("a", "c", 1)])
+    assert g.w == 2**53 == int(g.in_strength[0])
+
+
 def test_empty_external_id_rejected():
     with pytest.raises(InputError):
         build_graph([EdgeRecord("", "b", 1)])
@@ -46,7 +57,7 @@ def test_empty_external_id_rejected():
 
 def test_star_strengths():
     g = build_graph([EdgeRecord("a", x) for x in "bcd"])
-    inn, out = strengths(g)
+    inn, out = g.in_strength, g.out_strength
     byid = dict(zip(g.ids, zip(inn, out)))
     assert byid["a"] == (3, 0)
     for leaf in "bcd":
@@ -55,14 +66,14 @@ def test_star_strengths():
 
 def test_self_loop_counts_in_both_strengths():
     g = build_graph([EdgeRecord("a", "a", 2)])
-    inn, out = strengths(g)
+    inn, out = g.in_strength, g.out_strength
     assert inn[0] == 2 and out[0] == 2
     assert g.w == 2
 
 
 def test_single_heavy_edge():
     g = build_graph([EdgeRecord("a", "b", 5)])
-    inn, out = strengths(g)
+    inn, out = g.in_strength, g.out_strength
     byid = dict(zip(g.ids, zip(inn, out)))
     assert byid["a"] == (5, 0)
     assert byid["b"] == (0, 5)
@@ -137,7 +148,7 @@ def test_dense_row_column_sums_match_strengths():
     for _ in range(25):
         g = orc.random_graph(rng, 10)
         adj = orc.dense_adjacency(g)
-        inn, out = strengths(g)
+        inn, out = g.in_strength, g.out_strength
         assert np.array_equal(adj.sum(axis=1), inn)
         assert np.array_equal(adj.sum(axis=0), out)
 
@@ -153,7 +164,7 @@ edge_lists = st.lists(
 @settings(max_examples=150, deadline=None)
 def test_handshake_and_totals(raw):
     g = build_graph([EdgeRecord(t, s, c) for t, s, c in raw])
-    inn, out = strengths(g)
+    inn, out = g.in_strength, g.out_strength
     assert inn.sum() == out.sum() == g.w == sum(c for _, _, c in raw)
     # aggregation leaves no duplicate (target, source) pairs
     pairs = list(zip(g.targets.tolist(), g.sources.tolist()))

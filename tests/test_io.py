@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rtpol import EdgeRecord, SyntheticSpec, generate_bundle
+from rtpol import EdgeRecord, SyntheticSpec, build_graph, generate_bundle
 from rtpol.errors import InputError
 from rtpol.io import (parse_edges, parse_followership, parse_partition_csv,
                       parse_scores_csv, parse_tweets, write_csv, write_json)
@@ -169,6 +169,64 @@ def test_parse_tweets_fuzz_only_input_error_escapes(objects):
         assert isinstance(rec.text, str) and rec.text
 
 
+
+# Fields around the csv module's 131,072-character limit, and counts up to
+# 10**30, past int64 and the 2**53 exact range of float64 strengths.
+long_fields = st.sampled_from([131_072, 131_073, 200_000]).map("x".__mul__)
+fields = st.text(max_size=6) | long_fields
+counts = (st.integers(min_value=-3, max_value=10**30)
+          | st.sampled_from([2**53, 2**53 + 1, 5 * 10**18])).map(str)
+edge_lines = st.lists(st.one_of(fields, counts), min_size=1, max_size=4).map(
+    "\t".join)
+
+
+@given(st.lists(edge_lines, min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_parse_edges_fuzz_only_input_error_escapes(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "edges.tsv"
+        p.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        try:
+            g = build_graph(parse_edges(p))
+        except InputError:
+            return
+    assert g.w <= 2**53
+    assert int(g.in_strength.sum()) == int(g.out_strength.sum()) == g.w
+
+
+followership_cells = st.sampled_from(["0", "1"]) | fields
+
+
+@given(st.lists(st.lists(followership_cells, min_size=1, max_size=4),
+                min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_parse_followership_fuzz_only_input_error_escapes(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "followership.csv"
+        p.write_text("account_id,m1,m2\n"
+                     + "".join(",".join(row) + "\n" for row in rows),
+                     encoding="utf-8")
+        try:
+            matrix, dropped = parse_followership(p)
+        except InputError:
+            return
+    assert matrix.n_accounts + dropped <= len(rows)
+
+
+@pytest.mark.parametrize("parse, header, tail", [
+    (parse_followership, "account_id,m1", ",1"),
+    (parse_partition_csv, "node_id,community", ",0"),
+    (parse_scores_csv, "account_id,score,class", ",0.5,left"),
+])
+def test_csv_field_over_size_limit_is_input_error(tmp_path, parse, header,
+                                                  tail):
+    p = tmp_path / "input.csv"
+    p.write_text(f"{header}\n{'x' * 200_000}{tail}\n")
+    with pytest.raises(InputError, match="field larger than field limit") as exc:
+        parse(p)
+    assert exc.value.path == p
+    assert exc.value.line == 2
+
 # ---------------------------------------------------------------------------
 # csv round trips and writers
 # ---------------------------------------------------------------------------
@@ -226,10 +284,11 @@ def test_non_utf8_line_is_exact_past_the_first_chunk(tmp_path):
 
 def test_write_csv_formats(tmp_path):
     p = tmp_path / "out.csv"
-    write_csv(p, ["k", "v"], [("pi", 0.1), ("none", None), ("i", 7)],
+    write_csv(p, ["k", "v"], [("pi", 0.1), ("none", None), ("i", 7),
+                              ("np", np.float64(0.5))],
               provenance="x=1")
     lines = p.read_text().splitlines()
-    assert lines == ["# x=1", "k,v", "pi,0.1", "none,", "i,7"]
+    assert lines == ["# x=1", "k,v", "pi,0.1", "none,", "i,7", "np,0.5"]
 
 
 def test_write_json_sorted_and_newline(tmp_path):

@@ -172,6 +172,46 @@ def test_report_output_sanity(report_run):
     assert "#Charlottesville" in unique["keywords"]
 
 
+
+def _data_rows(path: Path) -> list[list[str]]:
+    """CSV rows after the provenance comment: header first."""
+    return [line.split(",") for line in path.read_text().splitlines()[1:]]
+
+
+def test_report_float_cells_are_plain_floats(report_run):
+    _, out_dir, _ = report_run
+    header, *rows = _data_rows(out_dir / "loadings.csv")
+    assert header == ["media", "loading"] and rows
+    for _, loading in rows:
+        float(loading)
+    header, *rows = _data_rows(out_dir / "modular_degree.csv")
+    ratio = header.index("ratio")
+    assert rows
+    for row in rows:
+        float(row[ratio])
+
+
+def test_cli_subcommands_write_the_report_formats(report_run, tmp_path,
+                                                  capsys):
+    bundle, out_dir, _ = report_run
+    assert main(["score", "--followership", str(bundle.followership),
+                 "--out", str(tmp_path / "scores.csv")]) == 0
+    assert main(["text", "--tweets", str(bundle.tweets),
+                 "--scores", str(out_dir / "scores.csv"),
+                 "--partition", str(out_dir / "partition_louvain.csv"),
+                 "--keyword", "#Charlottesville",
+                 "--out-dir", str(tmp_path / "text")]) == 0
+    capsys.readouterr()
+    pairs = [(tmp_path / "scores.csv", out_dir / "scores.csv")]
+    pairs += [(tmp_path / "text" / name, out_dir / name)
+              for name in ("word_counts.csv", "hashtags.csv")]
+    for cli_file, report_file in pairs:
+        assert len(_data_rows(report_file)) > 1
+        assert _data_rows(cli_file) == _data_rows(report_file)
+    unique = json.loads((out_dir / "unique.json").read_text())
+    del unique["seed"]
+    assert json.loads((tmp_path / "text" / "unique.json").read_text()) == unique
+
 def test_report_reruns_are_byte_identical(report_run, tmp_path):
     bundle, out_dir, _ = report_run
     again = tmp_path / "again"
@@ -335,6 +375,16 @@ def test_cli_exit_code_subprocess(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
 
+
+
+def test_cli_count_overflow_subprocess(tmp_path):
+    edges = tmp_path / "edges.tsv"
+    edges.write_text(f"a\tb\t{10**30}\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "rtpol", "ingest", "--edges", str(edges)],
+        capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
 
 def test_cli_non_utf8_input_subprocess(tmp_path):
     edges = tmp_path / "edges.tsv"

@@ -8,6 +8,7 @@ import oracles as orc
 from rtpol import EdgeRecord, build_graph
 from rtpol import assortativity_r, assortativity_report, classes_from_scores
 from rtpol import dyad_correlation, mixing_matrix, permutation_test
+from rtpol import polarization
 from rtpol.errors import DegenerateInputError, InputError
 from rtpol.polarization import SKIP_WARN_FRACTION, _replicate_keys
 from rtpol.synth import SyntheticSpec, account_ids, planted_edges
@@ -381,6 +382,21 @@ def test_assortativity_report_planted():
     d = rep.to_json_dict()
     assert set(d) == {"rho", "n_dyads", "perm", "z", "r", "labels", "e", "a", "b"}
     assert set(d["perm"]) == {"n", "mean", "sd", "skipped", "warning"}
+
+
+def test_assortativity_report_computes_rho_once(monkeypatch):
+    g, scores = polarized_graph(5, p_out=0.01)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return dyad_correlation(*args, **kwargs)
+
+    monkeypatch.setattr(polarization, "dyad_correlation", counted)
+    rep = assortativity_report(g, scores, n_perm=200, seed=0)
+    assert len(calls) == 1
+    assert (rep.rho, rep.n_dyads) == dyad_correlation(g, scores)
+    assert (rep.perm.rho, rep.perm.n_dyads) == (rep.rho, rep.n_dyads)
 
 
 def test_assortativity_report_drop_nodes():

@@ -26,11 +26,17 @@ objective is a level class with three members:
   reports whether v changed module;
 - `aggregate(labels, k)`, which returns the next level, whose k nodes are
   the modules given by `labels`.
+
+`comm` is a list and the kernels read level arrays through memoryviews,
+whose items are plain ints and floats: boxing a numpy scalar per access
+would cost more than the arithmetic. Each level logs its size, passes,
+moves and module count at DEBUG on the `rtpol.community` logger.
 """
 
 from __future__ import annotations
 
 import itertools
+import logging
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -49,6 +55,8 @@ DEFAULT_GAMMA_GRID = (0.01, 0.05, 0.1, 1.0, 5.0, 10.0)
 
 #: minimum objective gain for a greedy move to be accepted
 GAIN_EPS = 1e-10
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -157,6 +165,11 @@ def _compact_by_order(labels: np.ndarray, order: np.ndarray) -> tuple[np.ndarray
     return out, len(remap)
 
 
+def _csr_views(mat: sparse.csr_matrix) -> tuple[memoryview, memoryview, memoryview]:
+    """indptr, indices and data of a CSR matrix as memoryviews."""
+    return memoryview(mat.indptr), memoryview(mat.indices), memoryview(mat.data)
+
+
 def _multilevel(level, seed: int | None, visit_order: Sequence[int] | None,
                 tag: int) -> Partition:
     """Greedy move-and-aggregate search over a chain of levels.
@@ -190,15 +203,23 @@ def _multilevel(level, seed: int | None, visit_order: Sequence[int] | None,
         # pass-0 order, so renumbering nodes cannot change the outcome; ids
         # minted at or above n rank after all originals in creation order
         rank = np.argsort(first).tolist()
-        comm = np.arange(n, dtype=np.int64)
+        comm = list(range(n))
         move = level.mover(comm, lambda c: rank[c] if c < n else c)
+        moves = 0
         for pass_idx in itertools.count():
             visit = first if pass_idx == 0 else order(depth, pass_idx, n)
-            if not sum(map(move, visit.tolist())):
+            moved = sum(map(move, visit.tolist()))
+            if not moved:
                 break
-        if pass_idx == 0:  # no node moved at this level
+            moves += moved
+        k = n
+        if moves:
+            labels, k = _compact_by_order(np.array(comm, dtype=np.int64), first)
+        _log.debug("level %(depth)d: n=%(n)d passes=%(passes)d moves=%(moves)d"
+                   " k=%(k)d", {"depth": depth, "n": n, "passes": pass_idx + 1,
+                                "moves": moves, "k": k})
+        if not moves:
             break
-        labels, k = _compact_by_order(comm, first)
         membership = labels[membership]
         if k == n:
             break
@@ -233,22 +254,22 @@ class _ModularityLevel:
         self.win = np.bincount(targets, weights=weights, minlength=n)
         self.wout = np.bincount(sources, weights=weights, minlength=n)
 
-    def mover(self, comm: np.ndarray, key: Callable[[int], int]) -> Callable[[int], bool]:
-        indptr, indices, data = self.sym.indptr, self.sym.indices, self.sym.data
-        win, wout = self.win, self.wout
-        acc_in = win.copy()
-        acc_out = wout.copy()
+    def mover(self, comm: list[int], key: Callable[[int], int]) -> Callable[[int], bool]:
+        indptr, indices, data = _csr_views(self.sym)
+        win, wout = memoryview(self.win), memoryview(self.wout)
+        acc_in = memoryview(self.win.copy())
+        acc_out = memoryview(self.wout.copy())
         gamma_w = self.gamma / self.w
 
         def move(v: int) -> bool:
-            cv = int(comm[v])
+            cv = comm[v]
             iv = win[v]
             ov = wout[v]
             acc_in[cv] -= iv
             acc_out[cv] -= ov
             kvc: dict[int, float] = {}
             for e in range(indptr[v], indptr[v + 1]):
-                c = int(comm[indices[e]])
+                c = comm[indices[e]]
                 kvc[c] = kvc.get(c, 0.0) + data[e]
             best_c = cv
             best_gain = kvc.get(cv, 0.0) - gamma_w * (iv * acc_out[cv] + ov * acc_in[cv])
@@ -379,13 +400,12 @@ class _FlowLevel:
         self.in_mat = mat.T.tocsr()
         self.out_total = np.asarray(mat.sum(axis=1)).ravel()
 
-    def mover(self, comm: np.ndarray, key: Callable[[int], int]) -> Callable[[int], bool]:
+    def mover(self, comm: list[int], key: Callable[[int], int]) -> Callable[[int], bool]:
         n_orig = self.n_orig
-        out_total, p, umass, sizes = self.out_total, self.p, self.umass, self.sizes
-        out_ptr, out_idx, out_dat = (self.out_mat.indptr, self.out_mat.indices,
-                                     self.out_mat.data)
-        in_ptr, in_idx, in_dat = (self.in_mat.indptr, self.in_mat.indices,
-                                  self.in_mat.data)
+        out_total, p, umass, sizes = map(memoryview, (self.out_total, self.p,
+                                                      self.umass, self.sizes))
+        out_ptr, out_idx, out_dat = _csr_views(self.out_mat)
+        in_ptr, in_idx, in_dat = _csr_views(self.in_mat)
 
         def q_of(ql: float, um: float, sz: float) -> float:
             return ql + um * (n_orig - sz) / n_orig
@@ -401,20 +421,20 @@ class _FlowLevel:
 
         def move(v: int) -> bool:
             nonlocal q_total, next_id
-            cv = int(comm[v])
+            cv = comm[v]
             # link flow between v and each neighbouring module
             to_mod: dict[int, float] = {}
             from_mod: dict[int, float] = {}
             for e in range(out_ptr[v], out_ptr[v + 1]):
-                c = int(comm[out_idx[e]])
+                c = comm[out_idx[e]]
                 to_mod[c] = to_mod.get(c, 0.0) + out_dat[e]
             for e in range(in_ptr[v], in_ptr[v + 1]):
-                c = int(comm[in_idx[e]])
+                c = comm[in_idx[e]]
                 from_mod[c] = from_mod.get(c, 0.0) + in_dat[e]
-            out_v = float(out_total[v])
-            p_v = float(p[v])
-            u_v = float(umass[v])
-            sz_v = float(sizes[v])
+            out_v = out_total[v]
+            p_v = p[v]
+            u_v = umass[v]
+            sz_v = sizes[v]
 
             ql_a, um_a, sz_a, pm_a = acc[cv]
             q_a = q_m[cv]

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InputError
 from .graph import EdgeRecord
-from .pca import FollowershipMatrix, MediaScores
+from .pca import FollowershipMatrix, MediaScores, sign_class
 from .text import TweetRecord
 
 UTC_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
@@ -189,6 +189,8 @@ def parse_partition_csv(path: str | Path) -> dict[str, int]:
                 continue
             if len(row) != 2:
                 raise InputError("expected node_id,community", path=path, line=lineno)
+            if row[0] in out:
+                raise InputError(f"duplicate node id {row[0]!r}", path=path, line=lineno)
             try:
                 out[row[0]] = int(row[1])
             except ValueError:
@@ -198,7 +200,8 @@ def parse_partition_csv(path: str | Path) -> dict[str, int]:
 
 
 def parse_scores_csv(path: str | Path) -> MediaScores:
-    """account_id,score,class CSV back into MediaScores."""
+    """account_id,score,class CSV back into MediaScores; each class must be
+    the `sign_class` of its score, as `score_accounts` writes it."""
     path = Path(path)
     scores: dict[str, float] = {}
     classes: dict[str, str] = {}
@@ -211,13 +214,20 @@ def parse_scores_csv(path: str | Path) -> MediaScores:
             if len(row) != 3:
                 raise InputError("expected account_id,score,class",
                                  path=path, line=lineno)
+            if row[0] in scores:
+                raise InputError(f"duplicate account id {row[0]!r}",
+                                 path=path, line=lineno)
             try:
-                scores[row[0]] = float(row[1])
+                score = float(row[1])
             except ValueError:
                 raise InputError(f"score {row[1]!r} is not a number",
                                  path=path, line=lineno) from None
             if row[2] not in ("left", "right", "unclassified"):
                 raise InputError(f"unknown class {row[2]!r}", path=path, line=lineno)
+            if row[2] != sign_class(score):
+                raise InputError(f"class {row[2]!r} contradicts score {row[1]!r}",
+                                 path=path, line=lineno)
+            scores[row[0]] = score
             classes[row[0]] = row[2]
     return MediaScores(scores=scores, classes=classes)
 

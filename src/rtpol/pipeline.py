@@ -26,7 +26,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .errors import InputError, StageError
+from .errors import ConvergenceError, InputError, StageError
 from .graph import RetweetGraph, build_graph, largest_weak_component
 from .centrality import (CentralityScores, PageRankParams, degree_scores,
                          hits, pagerank, modular_degree_ratio, top_k)
@@ -286,8 +286,11 @@ def run_report(config: PipelineConfig) -> dict:
         try:
             fn()
         except Exception as exc:
-            manifest["stages"].append({"name": name, "status": "failed",
-                                       "error": str(exc)})
+            failure = {"name": name, "status": "failed", "error": str(exc),
+                       "error_class": type(exc).__name__}
+            if isinstance(exc, ConvergenceError):
+                failure.update(residual=exc.residual, iterations=exc.iterations)
+            manifest["stages"].append(failure)
             manifest["status"] = "aborted"
             write_json(out_dir / "manifest.json.partial", manifest)
             raise StageError(name, exc) from exc

@@ -1,4 +1,5 @@
 import hashlib
+import logging
 import math
 
 import numpy as np
@@ -376,6 +377,37 @@ def test_optimizers_pinned_output():
         a = run().assignment.tolist()
         got[key] = hashlib.sha256(",".join(map(str, a)).encode()).hexdigest()[:16]
     assert got == PINNED
+
+
+def test_optimizers_leave_graph_unchanged():
+    """The kernels write only to copies of the level arrays, so the input
+    graph is untouched and a repeat call with the same seed agrees."""
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        g = orc.random_graph(rng, 14)
+        fields = ("targets", "sources", "counts", "in_strength", "out_strength")
+        before = {name: getattr(g, name).copy() for name in fields}
+        for run in (lambda: louvain(g, ModularityParams(gamma=1.0), seed=3),
+                    lambda: louvain(g, ModularityParams(gamma=5.0), seed=3),
+                    lambda: infomap(g, seed=3)):
+            first = run().assignment
+            for name, arr in before.items():
+                assert np.array_equal(getattr(g, name), arr), name
+            assert np.array_equal(run().assignment, first)
+
+
+def test_multilevel_logs_each_level(caplog):
+    cliques = [EdgeRecord(f"{side}{i}", f"{side}{j}")
+               for side in "ab" for i in range(5) for j in range(5) if i != j]
+    g = build_graph(cliques + [EdgeRecord("a0", "b0")])
+    with caplog.at_level(logging.DEBUG, logger="rtpol.community"):
+        part = louvain(g, seed=0)
+    records = [r for r in caplog.records if r.name == "rtpol.community"]
+    assert records
+    assert all(r.args["passes"] >= 1 for r in records)
+    assert [r.args["depth"] for r in records] == list(range(len(records)))
+    assert records[0].args["n"] == g.n
+    assert records[-1].args["k"] == part.k == 2
 
 
 # ---------------------------------------------------------------------------

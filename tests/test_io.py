@@ -261,6 +261,44 @@ def test_scores_csv_rejects_unknown_class(tmp_path):
         parse_scores_csv(p)
 
 
+def test_partition_csv_rejects_repeated_node(tmp_path):
+    p = tmp_path / "partition.csv"
+    p.write_text("# method=louvain\nnode_id,community\na,0\nb,1\na,1\n")
+    with pytest.raises(InputError, match="duplicate node id 'a'") as exc:
+        parse_partition_csv(p)
+    assert exc.value.path == p
+    assert exc.value.line == 5
+
+
+def test_scores_csv_rejects_repeated_account(tmp_path):
+    p = tmp_path / "scores.csv"
+    p.write_text("account_id,score,class\na,0.5,right\nb,-1.0,left\n"
+                 "a,0.5,right\n")
+    with pytest.raises(InputError, match="duplicate account id 'a'") as exc:
+        parse_scores_csv(p)
+    assert exc.value.path == p
+    assert exc.value.line == 4
+
+
+@pytest.mark.parametrize("row", ["a,0.5,left", "a,-0.5,right", "a,0.5,unclassified",
+                                 "a,nan,right", "a,nan,left", "a,0.0,left"])
+def test_scores_csv_rejects_class_contradicting_score(tmp_path, row):
+    p = tmp_path / "scores.csv"
+    p.write_text(f"account_id,score,class\nz,nan,unclassified\n{row}\n")
+    with pytest.raises(InputError, match="contradicts score") as exc:
+        parse_scores_csv(p)
+    assert exc.value.line == 3
+
+
+def test_scores_csv_rejects_file_no_report_writes(tmp_path):
+    """A repeated id and classes that contradict their scores, together."""
+    p = tmp_path / "scores.csv"
+    p.write_text("a,0.5,left\nb,nan,right\na,-1,left\n")
+    with pytest.raises(InputError, match="contradicts score") as exc:
+        parse_scores_csv(p)
+    assert exc.value.line == 1
+
+
 @pytest.mark.parametrize("parse", [parse_edges, parse_followership,
                                    parse_tweets, parse_partition_csv,
                                    parse_scores_csv])

@@ -11,7 +11,7 @@ import pytest
 import rtpol
 from rtpol import SyntheticSpec, generate_bundle
 from rtpol.cli import main
-from rtpol.errors import InputError, StageError
+from rtpol.errors import ConvergenceError, InputError, StageError
 from rtpol.io import parse_partition_csv, parse_scores_csv
 from rtpol.pipeline import (STAGES, PipelineConfig, auto_size_floor,
                             load_config, run_report)
@@ -161,6 +161,8 @@ def test_report_output_sanity(report_run):
     # the planted blocs dominate, so the gamma=1 partition is nearly 2-way
     assert 2 <= comm["louvain"]["k"] <= 6
     scores = parse_scores_csv(out_dir / "scores.csv")
+    assert len(scores.scores) == sum(
+        1 for line in (out_dir / "scores.csv").read_text().splitlines()[2:])
     sides = set(scores.classes.values())
     assert {"left", "right"} <= sides
     assortativity = json.loads((out_dir / "assortativity.json").read_text())
@@ -244,6 +246,25 @@ def test_report_abort_keeps_prior_stages(tmp_path):
     assert partial["status"] == "aborted"
     assert partial["stages"][-1]["name"] == "text"
     assert partial["stages"][-1]["status"] == "failed"
+    assert partial["stages"][-1]["error_class"] == "InputError"
+
+
+def test_report_failure_records_solver_state(tmp_path, monkeypatch):
+    def diverge(*args, **kwargs):
+        raise ConvergenceError("no convergence", residual=0.25, iterations=17)
+
+    monkeypatch.setattr(rtpol.pipeline, "pagerank", diverge)
+    bundle = generate_bundle(SMALL, tmp_path / "bundle")
+    with pytest.raises(StageError) as exc:
+        run_report(small_config(bundle, tmp_path / "out"))
+    assert exc.value.stage == "centrality"
+    partial = json.loads((tmp_path / "out" / "manifest.json.partial").read_text())
+    failed = partial["stages"][-1]
+    assert failed["name"] == "centrality"
+    assert failed["error_class"] == "ConvergenceError"
+    assert failed["error"] == "no convergence"
+    assert failed["residual"] == 0.25
+    assert failed["iterations"] == 17
 
 
 def test_out_dir_env_override(tmp_path, monkeypatch):

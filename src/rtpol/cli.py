@@ -109,10 +109,10 @@ def _cmd_ingest(args) -> None:
 
 def _cmd_score(args) -> None:
     matrix, dropped = parse_followership(args.followership)
-    anchor = args.anchor or matrix.media[0]
-    loadings = first_principal_component(matrix, anchor)
+    loadings = first_principal_component(matrix, args.anchor)
     scores = score_accounts(matrix, loadings)
-    write_scores(args.out, scores, f"anchor={anchor} dropped_zero_rows={dropped}")
+    write_scores(args.out, scores,
+                 f"anchor={loadings.anchor} dropped_zero_rows={dropped}")
     if args.loadings_out:
         write_loadings(args.loadings_out, loadings, dropped, "")
 
@@ -160,7 +160,7 @@ def _cmd_centrality(args) -> None:
         out = args.out
         if len(scores) > 1:
             out = out.with_name(f"{out.stem}_{cs.kind}{out.suffix}")
-        order = (top_k(cs, args.topk) if args.topk else range(g.n))
+        order = top_k(cs, args.topk) if args.topk is not None else range(g.n)
         write_centrality(out, g, cs, order, prov + f" kind={cs.kind}")
 
 

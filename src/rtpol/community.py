@@ -98,14 +98,9 @@ class Partition:
     @classmethod
     def from_labels(cls, labels: Sequence[int]) -> "Partition":
         """Compact arbitrary labels by first appearance in node order."""
-        remap: dict[int, int] = {}
-        out = np.empty(len(labels), dtype=np.int64)
-        for i, lab in enumerate(labels):
-            lab = int(lab)
-            if lab not in remap:
-                remap[lab] = len(remap)
-            out[i] = remap[lab]
-        return cls(assignment=out, k=len(remap))
+        labels = np.asarray(labels, dtype=np.int64)
+        out, k = _compact_by_order(labels, np.arange(labels.size))
+        return cls(assignment=out, k=k)
 
     def sizes(self) -> np.ndarray:
         return np.bincount(self.assignment, minlength=self.k)
@@ -155,14 +150,15 @@ def shannon_diversity(n_left: int, n_right: int) -> float | None:
 
 
 def _compact_by_order(labels: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, int]:
-    """Relabel communities by first appearance along a visit order."""
-    remap: dict[int, int] = {}
-    for v in order:
-        lab = int(labels[v])
-        if lab not in remap:
-            remap[lab] = len(remap)
-    out = np.array([remap[int(lab)] for lab in labels], dtype=np.int64)
-    return out, len(remap)
+    """Relabel communities 0..k-1 by first appearance along `order`, a
+    permutation of the node indices."""
+    uniq, first, inverse = np.unique(labels[order], return_index=True,
+                                     return_inverse=True)
+    rank = np.empty(uniq.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(uniq.size)
+    out = np.empty(labels.size, dtype=np.int64)
+    out[order] = rank[inverse]
+    return out, int(uniq.size)
 
 
 def _csr_views(mat: sparse.csr_matrix) -> tuple[memoryview, memoryview, memoryview]:

@@ -110,12 +110,9 @@ def build_graph(records: Iterable[EdgeRecord],
         # strengths are summed in float64, which holds integers exactly to 2**53
         raise InputError("total retweet count exceeds 2**53")
 
-    if agg:
-        pairs = np.array(sorted(agg), dtype=np.int64)
-        counts = np.array([agg[(t, s)] for t, s in pairs], dtype=np.int64)
-        return RetweetGraph(ids, pairs[:, 0], pairs[:, 1], counts)
-    empty = np.zeros(0, dtype=np.int64)
-    return RetweetGraph(ids, empty, empty, empty)
+    pairs = np.array(list(agg), dtype=np.int64).reshape(-1, 2)
+    counts = np.array(list(agg.values()), dtype=np.int64)
+    return RetweetGraph(ids, pairs[:, 0], pairs[:, 1], counts)
 
 
 def degree_histogram(g: RetweetGraph,
@@ -139,6 +136,8 @@ def induced_subgraph(g: RetweetGraph,
     keep_sorted = sorted(set(int(i) for i in keep))
     if not keep_sorted:
         raise InputError("cannot induce a subgraph on an empty node set")
+    if keep_sorted[0] < 0 or keep_sorted[-1] >= g.n:
+        raise InputError(f"node indices must lie in range({g.n})")
     mapping = {old: new for new, old in enumerate(keep_sorted)}
     lut = np.full(g.n, -1, dtype=np.int64)
     lut[keep_sorted] = np.arange(len(keep_sorted), dtype=np.int64)

@@ -177,25 +177,34 @@ def parse_tweets(path: str | Path) -> list[TweetRecord]:
     return out
 
 
+def _table_rows(path: Path, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
+    """(line, row) per data row of a CSV in the `header` layout. Blank and
+    comment rows and the header row are skipped; each row must have the
+    header's width and an id (first cell) not seen before."""
+    seen: set[str] = set()
+    with open_utf8(path, newline="") as fh:
+        for lineno, row in enumerate(_csv_rows(fh, path), start=1):
+            if not row or row[0].startswith("#") or row[0] == header[0]:
+                continue
+            if len(row) != len(header):
+                raise InputError(f"expected {','.join(header)}", path=path, line=lineno)
+            if row[0] in seen:
+                raise InputError(f"duplicate {header[0].replace('_', ' ')} {row[0]!r}",
+                                 path=path, line=lineno)
+            seen.add(row[0])
+            yield lineno, row
+
+
 def parse_partition_csv(path: str | Path) -> dict[str, int]:
     """node_id,community CSV into a mapping (comment lines allowed)."""
     path = Path(path)
     out: dict[str, int] = {}
-    with open_utf8(path, newline="") as fh:
-        for lineno, row in enumerate(_csv_rows(fh, path), start=1):
-            if not row or row[0].startswith("#"):
-                continue
-            if row[0] == "node_id":
-                continue
-            if len(row) != 2:
-                raise InputError("expected node_id,community", path=path, line=lineno)
-            if row[0] in out:
-                raise InputError(f"duplicate node id {row[0]!r}", path=path, line=lineno)
-            try:
-                out[row[0]] = int(row[1])
-            except ValueError:
-                raise InputError(f"community {row[1]!r} is not an integer",
-                                 path=path, line=lineno) from None
+    for lineno, (node, comm) in _table_rows(path, ("node_id", "community")):
+        try:
+            out[node] = int(comm)
+        except ValueError:
+            raise InputError(f"community {comm!r} is not an integer",
+                             path=path, line=lineno) from None
     return out
 
 
@@ -205,30 +214,20 @@ def parse_scores_csv(path: str | Path) -> MediaScores:
     path = Path(path)
     scores: dict[str, float] = {}
     classes: dict[str, str] = {}
-    with open_utf8(path, newline="") as fh:
-        for lineno, row in enumerate(_csv_rows(fh, path), start=1):
-            if not row or row[0].startswith("#"):
-                continue
-            if row[0] == "account_id":
-                continue
-            if len(row) != 3:
-                raise InputError("expected account_id,score,class",
-                                 path=path, line=lineno)
-            if row[0] in scores:
-                raise InputError(f"duplicate account id {row[0]!r}",
-                                 path=path, line=lineno)
-            try:
-                score = float(row[1])
-            except ValueError:
-                raise InputError(f"score {row[1]!r} is not a number",
-                                 path=path, line=lineno) from None
-            if row[2] not in ("left", "right", "unclassified"):
-                raise InputError(f"unknown class {row[2]!r}", path=path, line=lineno)
-            if row[2] != sign_class(score):
-                raise InputError(f"class {row[2]!r} contradicts score {row[1]!r}",
-                                 path=path, line=lineno)
-            scores[row[0]] = score
-            classes[row[0]] = row[2]
+    for lineno, (account, text, cls) in _table_rows(
+            path, ("account_id", "score", "class")):
+        try:
+            score = float(text)
+        except ValueError:
+            raise InputError(f"score {text!r} is not a number",
+                             path=path, line=lineno) from None
+        if cls not in ("left", "right", "unclassified"):
+            raise InputError(f"unknown class {cls!r}", path=path, line=lineno)
+        if cls != sign_class(score):
+            raise InputError(f"class {cls!r} contradicts score {text!r}",
+                             path=path, line=lineno)
+        scores[account] = score
+        classes[account] = cls
     return MediaScores(scores=scores, classes=classes)
 
 

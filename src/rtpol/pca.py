@@ -75,9 +75,6 @@ class MediaScores:
     scores: dict[str, float]
     classes: dict[str, str]
 
-    def class_of(self, account: str) -> str | None:
-        return self.classes.get(account)
-
 
 def sign_class(score: float) -> str:
     """'left' below -ZERO_BAND, 'right' above ZERO_BAND, else (NaN included)
@@ -89,13 +86,16 @@ def sign_class(score: float) -> str:
     return "unclassified"
 
 
-def first_principal_component(m: FollowershipMatrix, anchor: str) -> MediaLoadings:
-    """Leading eigenvector of the column-centered covariance, sign-anchored.
+def first_principal_component(m: FollowershipMatrix,
+                              anchor: str | None = None) -> MediaLoadings:
+    """Leading eigenvector of the column-centered covariance, sign-anchored
+    (by default, and for an empty anchor, on the first media column).
 
     The covariance uses divisor n_f - 1 and is decomposed densely (it is
     only media x media). Degenerate input (fewer than two rows, or all
     rows identical) is rejected.
     """
+    anchor = anchor or m.media[0]
     if anchor not in m.media:
         raise InputError(f"anchor {anchor!r} is not a media column")
     n_f = m.n_accounts

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -48,17 +48,13 @@ ENV_OUT_DIR = "RTPOL_OUT_DIR"
 STAGES = ("ingest", "lwcc", "scores", "centrality", "communities",
           "profiles", "assortativity", "text")
 
-_CONFIG_KEYS = {"edges", "followership", "tweets", "out_dir", "anchor",
-                "gammas", "tau", "n_perm", "seed", "size_floor", "top_k",
-                "keywords", "drop_media_accounts"}
-
 
 @dataclass(frozen=True)
 class PipelineConfig:
     edges: Path
     followership: Path
-    tweets: Path | None
     out_dir: Path
+    tweets: Path | None = None
     anchor: str | None = None
     gammas: tuple[float, ...] = DEFAULT_GAMMA_GRID
     tau: float = 0.15
@@ -70,10 +66,36 @@ class PipelineConfig:
     drop_media_accounts: bool = False
 
 
+#: fields recorded under the manifest's "params"
+_PARAMS = ("anchor", "gammas", "tau", "n_perm", "size_floor", "top_k",
+           "keywords", "drop_media_accounts")
+
+
+def _gammas(value: str) -> tuple[float, ...]:
+    gammas = tuple(float(x) for x in value.split(",") if x.strip())
+    if not gammas:
+        raise ValueError("empty gamma list")
+    return gammas
+
+
+#: config key -> converter of its text value; a converter raises ValueError
+#: or KeyError on a value it rejects
+_CONVERTERS: dict[str, Callable[[str], object]] = {
+    "edges": Path, "followership": Path, "out_dir": Path, "tweets": Path,
+    "anchor": str, "gammas": _gammas, "tau": float, "n_perm": int,
+    "seed": int, "top_k": int,
+    "size_floor": lambda v: None if v.lower() == "auto" else int(v),
+    "keywords": lambda v: tuple(k.strip() for k in v.split(",") if k.strip()),
+    "drop_media_accounts": lambda v: {"true": True, "1": True, "false": False,
+                                      "0": False}[v.lower()],
+}
+
+
 def load_config(path: str | Path) -> PipelineConfig:
-    """Flat key=value config file; '#' starts a comment line."""
+    """Flat key=value config file; '#' starts a comment line. Keys the file
+    does not set keep the `PipelineConfig` defaults."""
     path = Path(path)
-    raw: dict[str, str] = {}
+    values: dict[str, object] = {}
     with open_utf8(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -81,53 +103,20 @@ def load_config(path: str | Path) -> PipelineConfig:
                 continue
             if "=" not in line:
                 raise InputError("expected key=value", path=path, line=lineno)
-            key, value = line.split("=", 1)
-            key = key.strip()
-            if key not in _CONFIG_KEYS:
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in _CONVERTERS:
                 raise InputError(f"unknown config key {key!r}", path=path, line=lineno)
-            raw[key] = value.strip()
-    for required in ("edges", "followership", "out_dir"):
-        if required not in raw:
-            raise InputError(f"config is missing required key {required!r}", path=path)
-
-    def parse_num(key: str, conv, default):
-        if key not in raw:
-            return default
-        try:
-            return conv(raw[key])
-        except ValueError:
-            raise InputError(f"config key {key!r} has invalid value {raw[key]!r}",
-                             path=path) from None
-
-    gammas = parse_num("gammas", lambda v: tuple(
-        float(x) for x in v.split(",") if x.strip()), DEFAULT_GAMMA_GRID)
-    if not gammas:
-        raise InputError("config key 'gammas' must list at least one value",
-                         path=path)
-    keywords = tuple(k.strip() for k in raw.get("keywords", "").split(",")
-                     if k.strip())
-    size_floor = None
-    if raw.get("size_floor", "auto").lower() != "auto":
-        size_floor = parse_num("size_floor", int, None)
-    drop = raw.get("drop_media_accounts", "false").lower()
-    if drop not in ("true", "false", "0", "1"):
-        raise InputError("config key 'drop_media_accounts' must be true or false",
-                         path=path)
-    return PipelineConfig(
-        edges=Path(raw["edges"]),
-        followership=Path(raw["followership"]),
-        tweets=Path(raw["tweets"]) if "tweets" in raw else None,
-        out_dir=Path(raw["out_dir"]),
-        anchor=raw.get("anchor"),
-        gammas=gammas,
-        tau=parse_num("tau", float, 0.15),
-        n_perm=parse_num("n_perm", int, 100_000),
-        seed=parse_num("seed", int, 0),
-        size_floor=size_floor,
-        top_k=parse_num("top_k", int, 20),
-        keywords=keywords,
-        drop_media_accounts=drop in ("true", "1"),
-    )
+            if key in values:
+                raise InputError(f"repeated config key {key!r}", path=path, line=lineno)
+            try:
+                values[key] = _CONVERTERS[key](value)
+            except (ValueError, KeyError):
+                raise InputError(f"config key {key!r} has invalid value {value!r}",
+                                 path=path, line=lineno) from None
+    for f in fields(PipelineConfig):
+        if f.default is MISSING and f.name not in values:
+            raise InputError(f"config is missing required key {f.name!r}", path=path)
+    return PipelineConfig(**values)
 
 
 def auto_size_floor(n_nodes: int) -> int:
@@ -266,16 +255,7 @@ def run_report(config: PipelineConfig) -> dict:
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "seed": seed,
-        "params": {
-            "anchor": config.anchor,
-            "gammas": list(config.gammas),
-            "tau": config.tau,
-            "n_perm": config.n_perm,
-            "size_floor": config.size_floor,
-            "top_k": config.top_k,
-            "keywords": list(config.keywords),
-            "drop_media_accounts": config.drop_media_accounts,
-        },
+        "params": {name: getattr(config, name) for name in _PARAMS},
         "inputs": {},
         "stages": [],
     }
@@ -316,7 +296,7 @@ def run_report(config: PipelineConfig) -> dict:
 
     def stage_lwcc():
         g_full = state["g_full"]
-        g, mapping = largest_weak_component(g_full)
+        g, _ = largest_weak_component(g_full)
         state["g"] = g
         write_json(writer.path("lwcc.json"), {
             "n_nodes": g.n, "n_edges": g.n_edges, "n_retweets": g.w,
@@ -329,8 +309,7 @@ def run_report(config: PipelineConfig) -> dict:
             raise InputError(f"followership file {config.followership} does not exist")
         manifest["inputs"]["followership"] = _sha256(config.followership)
         matrix, dropped = parse_followership(config.followership)
-        anchor = config.anchor or matrix.media[0]
-        loadings = first_principal_component(matrix, anchor)
+        loadings = first_principal_component(matrix, config.anchor)
         scores = score_accounts(matrix, loadings)
         state["media_labels"] = list(matrix.media)
         state["scores"] = scores
@@ -353,7 +332,6 @@ def run_report(config: PipelineConfig) -> dict:
                 rows.append((cs.kind, rank, g.ids[i], float(cs.values[i])))
         write_csv(writer.path("rankings.csv"),
                   ("measure", "rank", "node_id", "score"), rows, prov)
-        state["pr"] = pr
 
     def stage_communities():
         g = state["g"]
@@ -369,7 +347,6 @@ def run_report(config: PipelineConfig) -> dict:
             write_partition(writer.path(f"partition_{name}.csv"), g, part, prov)
         floor = (config.size_floor if config.size_floor is not None
                  else auto_size_floor(g.n))
-        state["size_floor"] = floor
         sweep = resolution_sweep(g, state["node_scores"], config.gammas,
                                  seed=derive_seed(seed, 22), size_floor=floor)
         rows = []

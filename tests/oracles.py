@@ -275,6 +275,15 @@ def agreement_fraction(assignment, truth) -> float:
     return agree / truth.size
 
 
+def relabel_first_appearance(labels, order) -> tuple[list[int], int]:
+    """Labels renumbered 0..k-1 in the order their first node appears in
+    `order`, by a dict that grows as new labels are met."""
+    remap: dict[int, int] = {}
+    for v in order:
+        remap.setdefault(int(labels[v]), len(remap))
+    return [remap[int(lab)] for lab in labels], len(remap)
+
+
 def random_graph(rng: np.random.Generator, n_max: int = 10,
                  ensure_edge: bool = True) -> RetweetGraph:
     """Small random directed weighted graph for oracle sweeps."""

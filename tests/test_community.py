@@ -9,6 +9,7 @@ import oracles as orc
 from rtpol import EdgeRecord, MapEquationParams, ModularityParams, Partition
 from rtpol import build_graph, community_profiles, infomap, louvain
 from rtpol import map_equation, modularity, resolution_sweep, shannon_diversity
+from rtpol.community import _compact_by_order
 from rtpol.errors import DegenerateInputError, InputError
 from rtpol.synth import SyntheticSpec, account_ids, planted_edges
 
@@ -500,6 +501,24 @@ def test_partition_from_labels_compacts_by_first_appearance():
     p = Partition.from_labels([7, 7, 3, 7, 9])
     assert p.assignment.tolist() == [0, 0, 1, 0, 2]
     assert p.k == 3
+
+
+def test_relabel_matches_dict_oracle():
+    rng = np.random.default_rng(2024)
+    cases = [np.zeros(0, dtype=np.int64), np.array([5]),
+             np.array([100, -3, 100, 7])]  # labels outside 0..n-1
+    for _ in range(300):
+        n = int(rng.integers(1, 40))
+        cases.append(rng.integers(-5, 3 * n, size=n))
+    for labels in cases:
+        n = labels.size
+        want, k = orc.relabel_first_appearance(labels, range(n))
+        p = Partition.from_labels(labels.tolist())
+        assert p.assignment.tolist() == want and p.k == k
+        for order in (np.arange(n), rng.permutation(n), rng.permutation(n)):
+            want, k = orc.relabel_first_appearance(labels, order)
+            got, got_k = _compact_by_order(labels, order)
+            assert got.tolist() == want and got_k == k
 
 
 def test_partition_validation():

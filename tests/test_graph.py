@@ -143,6 +143,13 @@ def test_induced_subgraph_keeps_internal_edges():
     assert set(mapping) == set(keep)
 
 
+def test_induced_subgraph_rejects_out_of_range_indices():
+    g = build_graph([EdgeRecord("a", "b"), EdgeRecord("b", "c")])
+    for keep in ([-1], [0, g.n]):
+        with pytest.raises(InputError, match=r"range\(3\)"):
+            induced_subgraph(g, keep)
+
+
 def test_dense_row_column_sums_match_strengths():
     rng = np.random.default_rng(11)
     for _ in range(25):
@@ -180,3 +187,7 @@ def test_build_is_order_independent(raw, rnd):
     g2 = build_graph([EdgeRecord(t, s, c) for t, s, c in shuffled])
     assert edge_dict(g1) == edge_dict(g2)
     assert sorted(g1.ids) == sorted(g2.ids)
+    # whatever the record order, edge arrays come sorted by (target, source)
+    for g in (g1, g2):
+        pairs = list(zip(g.targets.tolist(), g.sources.tolist()))
+        assert pairs == sorted(pairs)

@@ -61,6 +61,14 @@ def test_anchor_flip_negates_scores_only():
     assert hi1 == lo2
 
 
+def test_default_anchor_is_first_media_column():
+    explicit = first_principal_component(FIXTURE, anchor="m1")
+    for load in (first_principal_component(FIXTURE),
+                 first_principal_component(FIXTURE, anchor="")):
+        assert load.anchor == "m1"
+        assert load.loadings.tolist() == explicit.loadings.tolist()
+
+
 def test_identical_columns_get_equal_loadings():
     m = FollowershipMatrix(
         accounts=("a", "b", "c", "d"), media=("m1", "m2", "m3"),

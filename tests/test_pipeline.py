@@ -106,6 +106,9 @@ def test_load_config_rejects_bad_input(tmp_path):
     p.write_text("edges=e\nfollowership=f\nout_dir=o\nn_perm=lots\n")
     with pytest.raises(InputError, match="n_perm"):
         load_config(p)
+    p.write_text("edges = a.tsv\nfollowership=f\nedges = b.tsv\nout_dir=o\n")
+    with pytest.raises(InputError, match="run.cfg:3: repeated config key 'edges'"):
+        load_config(p)
     p.write_bytes(b"edges=e\nfollowership=f\xff\nout_dir=o\n")
     with pytest.raises(InputError, match="run.cfg:2: not UTF-8"):
         load_config(p)
@@ -431,6 +434,15 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad.write_text("a\tb\t0\n")
     assert main(["ingest", "--edges", str(bad)]) == 1
     capsys.readouterr()
+
+    # a --topk below 1 is an input error, not "all rows"
+    ring = tmp_path / "ring.tsv"
+    ring.write_text("a\tb\nb\tc\nc\ta\n")
+    for k in ("0", "-1"):
+        assert main(["centrality", "--edges", str(ring), "--measure", "indeg",
+                     "--topk", k, "--out", str(tmp_path / "top.csv")]) == 1
+        assert "k must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "top.csv").exists()
 
     # 1 via report: StageError wrapping an input problem
     cfg = tmp_path / "run.cfg"

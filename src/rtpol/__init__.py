@@ -10,15 +10,13 @@ __version__ = "0.1.0"
 
 from .errors import (AnchorError, ConvergenceError, DegenerateInputError,
                      InputError, RtpolError, StageError)
-from .graph import (EdgeRecord, RetweetGraph, build_graph, degree_histogram,
-                    induced_subgraph, largest_weak_component)
+from .graph import (EdgeRecord, RetweetGraph, build_graph, induced_subgraph,
+                    largest_weak_component)
 from .pca import (FollowershipMatrix, MediaLoadings, MediaScores,
-                  classify_counts, first_principal_component,
-                  node_score_array, score_accounts)
-from .centrality import (CentralityScores, HubThresholdReport,
-                         ModularDegreeRatio, PageRankParams, degree_scores,
-                         hits, hub_threshold_report, modular_degree_ratio,
-                         pagerank, stationary_visit_rates, top_k)
+                  first_principal_component, node_score_array, score_accounts)
+from .centrality import (CentralityScores, ModularDegreeRatio, PageRankParams,
+                         degree_scores, hits, modular_degree_ratio, pagerank,
+                         stationary_visit_rates, top_k)
 from .community import (DEFAULT_GAMMA_GRID, CommunityProfile,
                         MapEquationParams, ModularityParams, Partition,
                         community_profiles, infomap, louvain, map_equation,

@@ -9,15 +9,12 @@ principal eigenvectors of A'A and AA' for the retweet matrix A.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateInputError, InputError
 from .graph import RetweetGraph
-
-#: hub scores above this value mark a node as a large hub
-HUB_THRESHOLD = 4e-5
 
 
 @dataclass(frozen=True)
@@ -29,8 +26,13 @@ class PageRankParams:
     def __post_init__(self):
         if not 0.0 < self.damping < 1.0:
             raise InputError(f"damping must lie in (0, 1), got {self.damping}")
-        if self.tol <= 0 or self.max_iters < 1:
-            raise InputError("tol must be positive and max_iters at least 1")
+        _check_budget(self.tol, self.max_iters)
+
+
+def _check_budget(tol: float, max_iters: int) -> None:
+    if not (np.isfinite(tol) and tol > 0) or max_iters < 1:
+        raise InputError(f"tol must be finite and positive and max_iters at "
+                         f"least 1, got tol={tol} max_iters={max_iters}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,13 +55,6 @@ class ModularDegreeRatio:
     inter_in: int
     intra_in: int
     ratio: float | None
-
-
-@dataclass(frozen=True, eq=False)
-class HubThresholdReport:
-    threshold: float
-    large_hubs: frozenset[int]
-    fractions: dict[int, float]
 
 
 def stationary_visit_rates(g: RetweetGraph, damping: float = 0.85,
@@ -108,6 +103,7 @@ def hits(g: RetweetGraph, tol: float = 1e-12,
     Hubs are accounts whose retweets point at strong authorities; both
     vectors start uniform and are normalized to unit 2-norm.
     """
+    _check_budget(tol, max_iters)
     if g.w == 0:
         raise InputError("HITS requires at least one edge")
     a = g.adjacency()
@@ -146,32 +142,6 @@ def degree_scores(g: RetweetGraph, direction: str) -> CentralityScores:
         return CentralityScores(kind="out_degree",
                                 values=g.out_strength.astype(np.float64))
     raise InputError(f"direction must be 'in' or 'out', got {direction!r}")
-
-
-def hub_threshold_report(g: RetweetGraph, hub: CentralityScores,
-                         targets: Iterable[int] | None = None,
-                         threshold: float = HUB_THRESHOLD) -> HubThresholdReport:
-    """Fraction of each target's distinct retweeters that are large hubs.
-
-    Targets nobody retweeted have no defined fraction and are left out of
-    the report.
-    """
-    values = hub.values
-    large = frozenset(int(i) for i in np.flatnonzero(values > threshold))
-    wanted = range(g.n) if targets is None else targets
-    retweeters: dict[int, set[int]] = {}
-    for t, s in zip(g.targets, g.sources):
-        retweeters.setdefault(int(t), set()).add(int(s))
-    fractions: dict[int, float] = {}
-    for t in wanted:
-        t = int(t)
-        if not 0 <= t < g.n:
-            raise InputError(f"target index {t} out of range")
-        who = retweeters.get(t)
-        if who:
-            fractions[t] = sum(1 for s in who if s in large) / len(who)
-    return HubThresholdReport(threshold=threshold, large_hubs=large,
-                              fractions=fractions)
 
 
 def modular_degree_ratio(g: RetweetGraph,

@@ -97,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_ingest(args) -> None:
     g = build_graph(parse_edges(args.edges))
-    lwcc, _ = largest_weak_component(g)
+    lwcc = largest_weak_component(g)
     summary = {"n_nodes": g.n, "n_edges": g.n_edges, "n_retweets": g.w,
                "lwcc_nodes": lwcc.n, "lwcc_edges": lwcc.n_edges,
                "lwcc_retweets": lwcc.w}

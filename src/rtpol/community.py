@@ -64,8 +64,8 @@ class ModularityParams:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise InputError(f"gamma must be positive, got {self.gamma}")
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise InputError(f"gamma must be finite and positive, got {self.gamma}")
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,8 @@ the strength products used by the modularity null model.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -115,64 +114,46 @@ def build_graph(records: Iterable[EdgeRecord],
     return RetweetGraph(ids, pairs[:, 0], pairs[:, 1], counts)
 
 
-def degree_histogram(g: RetweetGraph,
-                     direction: Literal["in", "out"]) -> dict[int, int]:
-    """Histogram of weighted degrees: degree value -> number of nodes."""
-    if direction == "in":
-        arr = g.in_strength
-    elif direction == "out":
-        arr = g.out_strength
-    else:
-        raise InputError(f"direction must be 'in' or 'out', got {direction!r}")
-    return dict(Counter(int(d) for d in arr))
-
-
-def induced_subgraph(g: RetweetGraph,
-                     keep: Sequence[int]) -> tuple[RetweetGraph, dict[int, int]]:
-    """Subgraph on `keep` (old indices, preserved in sorted order).
-
-    Returns the subgraph and the old-index -> new-index map.
-    """
+def induced_subgraph(g: RetweetGraph, keep: Sequence[int]) -> RetweetGraph:
+    """Subgraph on `keep` (old indices, preserved in sorted order)."""
     keep_sorted = sorted(set(int(i) for i in keep))
     if not keep_sorted:
         raise InputError("cannot induce a subgraph on an empty node set")
     if keep_sorted[0] < 0 or keep_sorted[-1] >= g.n:
         raise InputError(f"node indices must lie in range({g.n})")
-    mapping = {old: new for new, old in enumerate(keep_sorted)}
     lut = np.full(g.n, -1, dtype=np.int64)
     lut[keep_sorted] = np.arange(len(keep_sorted), dtype=np.int64)
     mask = (lut[g.targets] >= 0) & (lut[g.sources] >= 0)
-    sub = RetweetGraph([g.ids[i] for i in keep_sorted],
-                       lut[g.targets[mask]], lut[g.sources[mask]],
-                       g.counts[mask])
-    return sub, mapping
+    return RetweetGraph([g.ids[i] for i in keep_sorted],
+                        lut[g.targets[mask]], lut[g.sources[mask]],
+                        g.counts[mask])
 
 
-def largest_weak_component(g: RetweetGraph) -> tuple[RetweetGraph, dict[int, int]]:
+def largest_weak_component(g: RetweetGraph) -> RetweetGraph:
     """Largest weakly connected component as an induced subgraph.
 
-    Size ties are broken by the smallest minimum node index. Also returns
-    the old-index -> new-index map for the retained nodes.
+    Size ties are broken by the smallest minimum node index.
     """
     if g.n == 0:
         raise InputError("graph has no nodes")
-    parent = np.arange(g.n, dtype=np.int64)
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    for t, s in zip(g.targets, g.sources):
-        rt, rs = find(int(t)), find(int(s))
-        if rt != rs:
-            parent[max(rt, rs)] = min(rt, rs)
-
-    roots = np.array([find(i) for i in range(g.n)], dtype=np.int64)
-    sizes = np.bincount(roots, minlength=g.n)
+    # root[v] <= v throughout, and every value of root is a root after the
+    # compression, so each component ends rooted at its smallest index.
+    # Compressing fully each round keeps the round count small on long
+    # paths (10 for a randomly labelled 50k-node path), where plain label
+    # propagation needs one round per hop.
+    root = np.arange(g.n, dtype=np.int64)
+    while True:
+        rt, rs = root[g.targets], root[g.sources]
+        split = rt != rs
+        if not split.any():
+            break
+        rt, rs = rt[split], rs[split]
+        np.minimum.at(root, np.maximum(rt, rs), np.minimum(rt, rs))
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+    sizes = np.bincount(root, minlength=g.n)
     best = int(np.argmax(sizes))  # argmax takes the first maximum: smallest root index
-    members = np.flatnonzero(roots == best)
-    return induced_subgraph(g, members)
+    return induced_subgraph(g, np.flatnonzero(root == best))

@@ -133,13 +133,6 @@ def score_accounts(m: FollowershipMatrix, loadings: MediaLoadings) -> MediaScore
     return MediaScores(scores=scores, classes=classes)
 
 
-def classify_counts(s: MediaScores) -> tuple[int, int, int]:
-    """(n_left, n_right, n_unclassified) over all scored accounts."""
-    n_left = sum(1 for c in s.classes.values() if c == "left")
-    n_right = sum(1 for c in s.classes.values() if c == "right")
-    return n_left, n_right, len(s.classes) - n_left - n_right
-
-
 def node_score_array(scores: MediaScores, ids: Sequence[str]) -> np.ndarray:
     """Scores aligned to a node id sequence; NaN marks unscored nodes."""
     out = np.full(len(ids), np.nan)

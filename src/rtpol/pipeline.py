@@ -296,7 +296,7 @@ def run_report(config: PipelineConfig) -> dict:
 
     def stage_lwcc():
         g_full = state["g_full"]
-        g, _ = largest_weak_component(g_full)
+        g = largest_weak_component(g_full)
         state["g"] = g
         write_json(writer.path("lwcc.json"), {
             "n_nodes": g.n, "n_edges": g.n_edges, "n_retweets": g.w,

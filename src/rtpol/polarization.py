@@ -281,7 +281,7 @@ def assortativity_report(g: RetweetGraph, node_scores: np.ndarray,
     if drop_nodes:
         dropped = {g.index_of[ext] for ext in drop_nodes if ext in g.index_of}
         keep = [i for i in range(g.n) if i not in dropped]
-        g, _ = induced_subgraph(g, keep)  # keeps `keep`'s ascending order
+        g = induced_subgraph(g, keep)  # keeps `keep`'s ascending order
         scores = scores[keep]
     perm = permutation_test(g, scores, n_perm=n_perm, seed=seed)
     mix = mixing_matrix(g, classes_from_scores(scores))

@@ -60,8 +60,8 @@ class SyntheticSpec:
                 len(self.follow_right) != len(self.media):
             raise InputError("follow probabilities must match the media columns")
         probs = (self.p_in, self.p_out, *self.follow_left, *self.follow_right)
-        if any(p < 0 for p in probs):
-            raise InputError("probabilities and rates must be nonnegative")
+        if not all(0 <= p < np.inf for p in (*probs, self.tweets_per_account)):
+            raise InputError("probabilities and rates must be finite and nonnegative")
         if any(p > 1 for p in self.follow_left + self.follow_right):
             raise InputError("follow probabilities must lie in [0, 1]")
         if all(p == 0 for p in probs):
@@ -96,7 +96,10 @@ def planted_edges(spec: SyntheticSpec) -> list[EdgeRecord]:
     is_left = np.arange(n) < spec.n_left
     rate = np.where(is_left[:, None] == is_left[None, :], spec.p_in, spec.p_out)
     np.fill_diagonal(rate, 0.0)
-    counts = rng.poisson(rate)
+    try:
+        counts = rng.poisson(rate)
+    except ValueError as exc:  # a rate too large for the Poisson sampler
+        raise InputError(f"cannot draw retweet counts: {exc}") from None
     t_idx, s_idx = np.nonzero(counts)
     return [EdgeRecord(target=ids[t], source=ids[s], count=int(counts[t, s]))
             for t, s in zip(t_idx, s_idx)]

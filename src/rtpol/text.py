@@ -26,6 +26,8 @@ from .stopwords import DEFAULT_EXTRA_STOPWORDS, ENGLISH_STOPWORDS
 
 _URL_RE = re.compile(r"https?://\S+")
 _TOKEN_RE = re.compile(r"[#@]?\w+(?:'\w+)*")
+#: hashtags whose lowercase form contains this are the collection's own tag
+COLLECTION_TAG = "charlottesville"
 
 
 @dataclass(frozen=True)
@@ -70,20 +72,15 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(_URL_RE.sub(" ", text))
 
 
-def remove_stopwords(tokens: Iterable[str],
-                     extra: Iterable[str] | None = None) -> list[str]:
-    """Drop exact matches of the embedded English list plus extras.
-
-    `extra` replaces the default platform-noise set when given.
-    """
-    extras = DEFAULT_EXTRA_STOPWORDS if extra is None else frozenset(extra)
+def remove_stopwords(tokens: Iterable[str]) -> list[str]:
+    """Drop exact matches of the embedded English list and of the
+    platform-noise set."""
     return [t for t in tokens
-            if t not in ENGLISH_STOPWORDS and t not in extras]
+            if t not in ENGLISH_STOPWORDS and t not in DEFAULT_EXTRA_STOPWORDS]
 
 
-def word_counts_by_class(corpus: Sequence[TweetRecord], scores: MediaScores,
-                         extra_stopwords: Iterable[str] | None = None,
-                         ) -> WordCountTable:
+def word_counts_by_class(corpus: Sequence[TweetRecord],
+                         scores: MediaScores) -> WordCountTable:
     """Token counts over the left and right sides of the corpus.
 
     Tweets by unscored or unclassified accounts are excluded and counted.
@@ -100,7 +97,7 @@ def word_counts_by_class(corpus: Sequence[TweetRecord], scores: MediaScores,
         else:
             excluded += 1
             continue
-        bag.update(remove_stopwords(tokenize(rec.text), extra_stopwords))
+        bag.update(remove_stopwords(tokenize(rec.text)))
     return WordCountTable(left=left, right=right,
                           total_left=sum(left.values()),
                           total_right=sum(right.values()),
@@ -143,23 +140,21 @@ def chi_square(table: WordCountTable) -> ChiSquareTable:
 
 def hashtag_top_per_community(corpus: Sequence[TweetRecord],
                               community_of: Mapping[str, int],
-                              exclude_substring: str = "charlottesville",
                               ) -> dict[int, tuple[str, int]]:
     """Most used hashtag per community, skipping the collection tag.
 
-    Hashtags whose lowercase form contains `exclude_substring` are ignored;
+    Hashtags whose lowercase form contains `COLLECTION_TAG` are ignored;
     count ties go to the lexicographically smaller tag. Tweet authors must
     all be covered by `community_of`. Communities without any remaining
     hashtag are absent from the result.
     """
-    needle = exclude_substring.lower()
     per_comm: dict[int, Counter] = {}
     for rec in corpus:
         if rec.account not in community_of:
             raise InputError(f"account {rec.account!r} has no community assignment")
         comm = int(community_of[rec.account])
         for tok in tokenize(rec.text):
-            if tok.startswith("#") and needle not in tok.lower():
+            if tok.startswith("#") and COLLECTION_TAG not in tok.lower():
                 per_comm.setdefault(comm, Counter())[tok] += 1
     out: dict[int, tuple[str, int]] = {}
     for comm, bag in per_comm.items():

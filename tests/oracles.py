@@ -275,6 +275,32 @@ def agreement_fraction(assignment, truth) -> float:
     return agree / truth.size
 
 
+def largest_component_union_find(g: RetweetGraph) -> list[int]:
+    """Node indices of the largest weakly connected component, by a
+    per-edge union-find that hooks the larger root under the smaller.
+    Each root is the smallest index of its set, so a size tie goes to the
+    component holding the smallest index."""
+    parent = list(range(g.n))
+
+    def find(x: int) -> int:
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    for t, s in zip(g.targets.tolist(), g.sources.tolist()):
+        rt, rs = find(t), find(s)
+        if rt != rs:
+            parent[max(rt, rs)] = min(rt, rs)
+    members: dict[int, list[int]] = {}
+    for v in range(g.n):
+        members.setdefault(find(v), []).append(v)
+    best = min(members, key=lambda r: (-len(members[r]), r))
+    return members[best]
+
+
 def relabel_first_appearance(labels, order) -> tuple[list[int], int]:
     """Labels renumbered 0..k-1 in the order their first node appears in
     `order`, by a dict that grows as new labels are met."""

@@ -3,7 +3,7 @@ import pytest
 
 import oracles as orc
 from rtpol import CentralityScores, EdgeRecord, PageRankParams, build_graph
-from rtpol import degree_scores, hits, hub_threshold_report
+from rtpol import degree_scores, hits
 from rtpol import modular_degree_ratio, pagerank, top_k
 from rtpol.errors import ConvergenceError, InputError
 
@@ -59,6 +59,16 @@ def test_pagerank_convergence_error_carries_residual():
         pagerank(chain(), PageRankParams(max_iters=1))
     assert exc.value.iterations == 1
     assert exc.value.residual > 0
+
+
+def test_pagerank_and_hits_reject_unusable_tol():
+    # hits(tol=-1) used to run its whole 100,000-iteration budget
+    g = chain()
+    for tol in (float("nan"), float("inf"), -1.0, 0.0):
+        with pytest.raises(InputError, match="tol"):
+            PageRankParams(tol=tol)
+        with pytest.raises(InputError, match="tol"):
+            hits(g, tol=tol)
 
 
 def test_hits_single_authority():
@@ -127,33 +137,6 @@ def test_degree_scores():
     assert list(degree_scores(g, "out").values) == [0, 2, 1]
     with pytest.raises(InputError):
         degree_scores(g, "sideways")
-
-
-def test_hub_threshold_fraction_one_and_zero():
-    g = build_graph([EdgeRecord("a", "b"), EdgeRecord("a", "c")])
-    idx = {x: i for i, x in enumerate(g.ids)}
-    high = np.zeros(g.n)
-    high[idx["b"]] = high[idx["c"]] = 1e-3
-    rep = hub_threshold_report(g, CentralityScores("hub", high))
-    assert rep.fractions[idx["a"]] == 1.0
-    low = np.zeros(g.n)
-    rep = hub_threshold_report(g, CentralityScores("hub", low))
-    assert rep.fractions[idx["a"]] == 0.0
-    assert rep.large_hubs == frozenset()
-
-
-def test_hub_threshold_skips_unretweeted_targets():
-    g = build_graph([EdgeRecord("a", "b")])
-    idx = {x: i for i, x in enumerate(g.ids)}
-    rep = hub_threshold_report(g, CentralityScores("hub", np.ones(g.n)))
-    assert idx["b"] not in rep.fractions  # b was never retweeted
-    assert rep.fractions[idx["a"]] == 1.0
-    # distinct retweeters, not weights: double retweet is still one retweeter
-    g2 = build_graph([EdgeRecord("a", "b", 5), EdgeRecord("a", "c")])
-    vals = np.zeros(g2.n)
-    vals[1] = 1e-3  # only b is a large hub
-    rep2 = hub_threshold_report(g2, CentralityScores("hub", vals))
-    assert rep2.fractions[0] == 0.5
 
 
 def test_modular_degree_examples():

@@ -55,6 +55,13 @@ def test_modularity_rejects_empty_graph_and_bad_partition():
         ModularityParams(gamma=0.0)
 
 
+def test_modularity_params_reject_non_finite_gamma():
+    # nan passed the old `gamma <= 0` test and gave a singleton partition
+    for gamma in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(InputError, match="finite"):
+            ModularityParams(gamma=gamma)
+
+
 def test_modularity_matches_double_sum_all_partitions():
     """Sparse evaluation equals the literal dense sum, exhaustively."""
     rng = np.random.default_rng(12)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles as orc
-from rtpol import EdgeRecord, build_graph, degree_histogram, induced_subgraph
+from rtpol import EdgeRecord, build_graph, induced_subgraph
 from rtpol import largest_weak_component
 from rtpol.errors import InputError
 
@@ -79,47 +79,32 @@ def test_single_heavy_edge():
     assert byid["b"] == (0, 5)
 
 
-def test_degree_histogram_star_in():
-    g = build_graph([EdgeRecord("a", x) for x in "bcd"])
-    assert degree_histogram(g, "in") == {0: 3, 3: 1}
-
-
-def test_degree_histogram_isolated_nodes():
-    g = build_graph([], nodes=["a", "b"])
-    assert degree_histogram(g, "in") == {0: 2}
-    assert degree_histogram(g, "out") == {0: 2}
-
-
-def test_degree_histogram_two_cycle_out():
-    g = build_graph([EdgeRecord("a", "b"), EdgeRecord("b", "a")])
-    assert degree_histogram(g, "out") == {1: 2}
-
-
 def test_lwcc_picks_larger_component():
     records = [
         EdgeRecord("a", "b"), EdgeRecord("b", "a"),   # size-2 cycle
         EdgeRecord("c", "d"), EdgeRecord("e", "c"),   # size-3 path
     ]
-    sub, mapping = largest_weak_component(build_graph(records))
+    g = build_graph(records)
+    sub = largest_weak_component(g)
     assert sorted(sub.ids) == ["c", "d", "e"]
-    assert len(mapping) == 3
+    assert list(sub.ids) == [x for x in g.ids if x in "cde"]  # old index order
 
 
 def test_lwcc_identity_on_connected_graph():
     g = build_graph([EdgeRecord("a", "b"), EdgeRecord("b", "c")])
-    sub, mapping = largest_weak_component(g)
+    sub = largest_weak_component(g)
     assert ids_of(sub) == ids_of(g)
-    assert mapping == {i: i for i in range(g.n)}
+    assert edge_dict(sub) == edge_dict(g)
 
 
 def test_lwcc_tie_breaks_to_smallest_index():
     # two components of equal size; the one holding node index 0 wins
     g = build_graph([EdgeRecord("p", "q"), EdgeRecord("x", "y")])
-    sub, _ = largest_weak_component(g)
+    sub = largest_weak_component(g)
     assert sorted(sub.ids) == ["p", "q"]
     # and again with the other component first in the input
     g2 = build_graph([EdgeRecord("x", "y"), EdgeRecord("p", "q")])
-    sub2, _ = largest_weak_component(g2)
+    sub2 = largest_weak_component(g2)
     assert sorted(sub2.ids) == ["x", "y"]
 
 
@@ -127,20 +112,45 @@ def test_lwcc_idempotent():
     rng = np.random.default_rng(3)
     for _ in range(20):
         g = orc.random_graph(rng, 9)
-        once, _ = largest_weak_component(g)
-        twice, _ = largest_weak_component(once)
+        once = largest_weak_component(g)
+        twice = largest_weak_component(once)
         assert ids_of(once) == ids_of(twice)
         assert edge_dict(once) == edge_dict(twice)
+
+
+def test_lwcc_matches_union_find_reference():
+    rng = np.random.default_rng(17)
+    for _ in range(400):
+        n = int(rng.integers(1, 30))
+        names = [f"v{i}" for i in range(n)]
+        records = []
+        for _ in range(int(rng.integers(0, 2 * n))):
+            # multi-edges and self-loops are drawn freely; nodes without a
+            # record stay isolated through `nodes=`
+            t, s = rng.integers(0, n, size=2)
+            records.append(EdgeRecord(names[t], names[s], int(rng.integers(1, 4))))
+        g = build_graph(records, nodes=list(rng.permutation(names)))
+        want = orc.largest_component_union_find(g)
+        assert largest_weak_component(g).ids == tuple(g.ids[i] for i in want)
+
+
+def test_lwcc_long_path_with_random_labels():
+    n = 20_000
+    order = np.random.default_rng(5).permutation(n)
+    names = [f"v{i}" for i in range(n)]
+    g = build_graph([EdgeRecord(names[a], names[b])
+                     for a, b in zip(order[:-1], order[1:])], nodes=names)
+    assert largest_weak_component(g).ids == g.ids
 
 
 def test_induced_subgraph_keeps_internal_edges():
     g = build_graph([EdgeRecord("a", "b", 2), EdgeRecord("b", "c", 1),
                      EdgeRecord("c", "a", 4)])
     keep = [i for i, x in enumerate(g.ids) if x in ("a", "b")]
-    sub, mapping = induced_subgraph(g, keep)
+    sub = induced_subgraph(g, keep)
     assert sorted(sub.ids) == ["a", "b"]
     assert edge_dict(sub) == {("a", "b"): 2}
-    assert set(mapping) == set(keep)
+    assert list(sub.ids) == [g.ids[i] for i in sorted(keep)]
 
 
 def test_induced_subgraph_rejects_out_of_range_indices():

@@ -387,3 +387,14 @@ def test_spec_validation():
         SyntheticSpec(p_in=-0.1)
     with pytest.raises(InputError):
         SyntheticSpec(follow_left=(2.0,) * 6)
+
+
+def test_spec_rejects_non_finite_and_undrawable_rates():
+    nan, inf = float("nan"), float("inf")
+    for bad in ({"p_in": nan}, {"p_out": inf}, {"tweets_per_account": nan},
+                {"follow_right": (nan,) * 6}):
+        with pytest.raises(InputError, match="finite"):
+            SyntheticSpec(**bad)
+    # finite, but beyond what the Poisson sampler can draw
+    with pytest.raises(InputError, match="cannot draw"):
+        planted_edges(SyntheticSpec(n_left=2, n_right=2, p_in=1e19))

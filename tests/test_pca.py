@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles as orc
-from rtpol import FollowershipMatrix, MediaScores, classify_counts
+from rtpol import FollowershipMatrix, MediaScores
 from rtpol import first_principal_component, node_score_array, score_accounts
 from rtpol.errors import AnchorError, DegenerateInputError, InputError
 from rtpol.synth import SyntheticSpec, planted_followership
@@ -174,13 +174,6 @@ def test_scores_center_and_match_variance():
         assert vals.var(ddof=1) == pytest.approx(load.explained_variance, abs=1e-9)
 
 
-def test_classify_counts_basic():
-    s = MediaScores(scores={"a": -1.0, "b": -1.0, "c": 2.0},
-                    classes={"a": "left", "b": "left", "c": "right"})
-    assert classify_counts(s) == (2, 1, 0)
-    assert classify_counts(MediaScores(scores={}, classes={})) == (0, 0, 0)
-
-
 def test_planted_majority_split_recovered():
     """Two planted blocs at a 57/43 split classify close to the split."""
     spec = SyntheticSpec(n_left=5700, n_right=4300, seed=1)
@@ -194,8 +187,9 @@ def test_planted_majority_split_recovered():
     # media favored by the same bloc share a loading sign
     assert (np.sign(load.loadings[:3]) == 1.0).all()
     assert (np.sign(load.loadings[3:]) == -1.0).all()
-    n_left, n_right, n_un = classify_counts(score_accounts(m, load))
-    total = n_left + n_right + n_un
+    classes = list(score_accounts(m, load).classes.values())
+    n_left = classes.count("left")
+    total = len(classes)
     planted_left = sum(1 for a, k in zip(ids, keep) if k and a.startswith("L"))
     assert planted_left / total == pytest.approx(0.57, abs=0.02)
     assert n_left / total == pytest.approx(0.57, abs=0.02)

@@ -391,6 +391,18 @@ def test_cli_report_console_script(tmp_path):
     _check_report_subprocess(tmp_path, ["rtpol"])
 
 
+def test_import_loads_no_scipy_solver_modules():
+    # scipy.sparse.csgraph pulls in scipy.linalg and scipy.sparse.linalg,
+    # about 10 MB of resident memory and 60 ms per process start
+    heavy = ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph")
+    code = ("import sys, rtpol.pipeline, rtpol.cli; "
+            f"print([m for m in {heavy!r} if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_cli_exit_code_subprocess(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "rtpol", "ingest",
@@ -422,6 +434,30 @@ def test_cli_non_utf8_input_subprocess(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
     assert "not UTF-8" in proc.stderr
+
+
+def test_cli_rejects_non_finite_parameters(tmp_path, capsys):
+    ring = tmp_path / "ring.tsv"
+    ring.write_text("a\tb\nb\tc\nc\ta\n")
+    bundle = generate_bundle(SMALL, tmp_path / "bundle")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"edges={bundle.edges}\nfollowership={bundle.followership}\n"
+                   f"out_dir={tmp_path / 'report'}\ngammas=nan,1.0\n")
+    out = str(tmp_path / "out.csv")
+    cases = [
+        ["communities", "--edges", str(ring), "--gamma", "nan", "--out", out],
+        ["communities", "--edges", str(ring), "--gamma", "inf", "--out", out],
+        ["centrality", "--edges", str(ring), "--measure", "hits",
+         "--tol", "-1", "--out", out],
+        ["synth", "--out-dir", str(tmp_path / "s1"), "--p-in", "nan"],
+        ["synth", "--out-dir", str(tmp_path / "s2"), "--p-in", "1e19"],
+        ["report", "--config", str(cfg)],
+    ]
+    for argv in cases:
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err, argv
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -76,11 +76,6 @@ def test_remove_stopwords_default_extras():
     assert remove_stopwords(sorted(DEFAULT_EXTRA_STOPWORDS)) == []
 
 
-def test_remove_stopwords_extras_replace_default():
-    got = remove_stopwords(["RT", "is", "sad"], extra={"sad"})
-    assert got == ["RT"]  # 'is' is English, 'RT' only in the default extras
-
-
 def test_stopword_list_shape():
     assert len(ENGLISH_STOPWORDS) == 179
     assert "the" in ENGLISH_STOPWORDS and "is" in ENGLISH_STOPWORDS

@@ -13,16 +13,17 @@ from pathlib import Path
 
 from .errors import (AnchorError, ConvergenceError, DegenerateInputError,
                      InputError, StageError)
-from .graph import build_graph, largest_weak_component
+from .graph import largest_weak_component
 from .centrality import (PageRankParams, degree_scores, hits, pagerank,
                          modular_degree_ratio, top_k)
 from .community import MapEquationParams, ModularityParams, infomap, louvain
-from .io import (parse_edges, parse_followership, parse_partition_csv,
-                 parse_scores_csv, parse_tweets, write_csv, write_json)
+from .io import (parse_followership, parse_partition_csv, parse_scores_csv,
+                 parse_tweets, write_csv, write_json)
 from .pca import first_principal_component, node_score_array, score_accounts
-from .pipeline import (load_config, run_report, write_assortativity,
-                       write_centrality, write_loadings, write_partition,
-                       write_profiles, write_scores, write_text)
+from .pipeline import (load_config, read_graph, run_report,
+                       write_assortativity, write_centrality, write_loadings,
+                       write_partition, write_profiles, write_scores,
+                       write_text)
 from .polarization import assortativity_report
 from .synth import SyntheticSpec, generate_bundle
 
@@ -96,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_ingest(args) -> None:
-    g = build_graph(parse_edges(args.edges))
+    g = read_graph(args.edges)
     lwcc = largest_weak_component(g)
     summary = {"n_nodes": g.n, "n_edges": g.n_edges, "n_retweets": g.w,
                "lwcc_nodes": lwcc.n, "lwcc_edges": lwcc.n_edges,
@@ -118,7 +119,7 @@ def _cmd_score(args) -> None:
 
 
 def _cmd_communities(args) -> None:
-    g = build_graph(parse_edges(args.edges))
+    g = read_graph(args.edges)
     if args.method == "louvain":
         part = louvain(g, ModularityParams(gamma=args.gamma), seed=args.seed)
     else:
@@ -133,7 +134,7 @@ def _cmd_communities(args) -> None:
 
 
 def _cmd_centrality(args) -> None:
-    g = build_graph(parse_edges(args.edges))
+    g = read_graph(args.edges)
     prov = f"measure={args.measure} damping={args.damping}"
     if args.measure == "moddeg":
         if not args.partition:
@@ -165,7 +166,7 @@ def _cmd_centrality(args) -> None:
 
 
 def _cmd_assort(args) -> None:
-    g = build_graph(parse_edges(args.edges))
+    g = read_graph(args.edges)
     node_scores = node_score_array(parse_scores_csv(args.scores), g.ids)
     drop: tuple[str, ...] = ()
     if args.drop_media_accounts:

@@ -12,25 +12,28 @@ length of a damped random walk, evaluated at teleportation-smoothed visit
 rates; teleportation steps are not encoded, so module exits count link
 flow only.
 
-Both objectives are optimized by one driver, `_multilevel`: it sweeps the
-nodes of a level in seeded order, moving each to its best neighbouring
-module, until a pass moves no node; the modules then become the supernodes
-of the next level, until a level moves nothing or merges nothing. The
-driver owns the visit orders, the tie-break key and the relabelling. Each
-objective is a level class with three members:
+Both objectives are optimized by one driver, `_multilevel`: it takes the
+nodes of a level from a queue that starts in seeded order, moving each to
+its best neighbouring module; a node that moves queues its neighbours
+outside its new module, and the level ends when the queue is empty (the
+Leiden "fast local move", Traag et al. 2019). The modules then become the
+supernodes of the next level, until a level moves nothing or merges
+nothing. The driver owns the visit orders, the queue, the tie-break key
+and the relabelling. Each objective is a level class with four members:
 
 - `n`, the number of (super)nodes of the level;
 - `mover(comm, key)`, which returns `move(v) -> bool`. A call puts node v
   in the best of its neighbours' modules, tried in `key` order (a kernel
   may also open a new module), writes the choice to `comm[v]`, and
   reports whether v changed module;
+- `neighbours()`, (indptr, indices) CSR pairs whose rows list v's neighbours;
 - `aggregate(labels, k)`, which returns the next level, whose k nodes are
   the modules given by `labels`.
 
 `comm` is a list and the kernels read level arrays through memoryviews,
 whose items are plain ints and floats: boxing a numpy scalar per access
-would cost more than the arithmetic. Each level logs its size, passes,
-moves and module count at DEBUG on the `rtpol.community` logger.
+would cost more than the arithmetic. Each level logs its size, node
+visits, moves and module count at DEBUG on the `rtpol.community` logger.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -87,12 +91,9 @@ class Partition:
     def __post_init__(self):
         arr = np.asarray(self.assignment, dtype=np.int64)
         object.__setattr__(self, "assignment", arr)
-        if arr.size:
-            if arr.min() < 0 or arr.max() != self.k - 1:
-                raise InputError("community ids must be contiguous from 0")
-            if len(np.unique(arr)) != self.k:
-                raise InputError("community ids must be contiguous from 0")
-        elif self.k != 0:
+        if arr.size and not np.array_equal(np.unique(arr), np.arange(self.k)):
+            raise InputError("community ids must be contiguous from 0")
+        if not arr.size and self.k != 0:
             raise InputError("empty assignment must have k = 0")
 
     @classmethod
@@ -168,14 +169,10 @@ def _csr_views(mat: sparse.csr_matrix) -> tuple[memoryview, memoryview, memoryvi
 
 def _multilevel(level, seed: int | None, visit_order: Sequence[int] | None,
                 tag: int) -> Partition:
-    """Greedy move-and-aggregate search over a chain of levels.
-
-    Each level starts from singletons and sweeps its nodes pass after pass
-    until a pass moves none; its modules then become the nodes of the next
-    level, until a level moves nothing or keeps every node apart. Pass p of
-    level l visits nodes in the order drawn from the (seed, tag, l, p)
-    stream, except that an explicit `visit_order` is used for every pass
-    of level 0.
+    """Greedy move-and-aggregate search over a chain of levels, each moving
+    its nodes from a queue until it runs empty (see the module docstring).
+    Level l queues its nodes in the order drawn from the (seed, tag, l, 0)
+    stream; an explicit `visit_order` replaces that order at level 0.
     """
     n0 = level.n
     fixed = None
@@ -184,35 +181,40 @@ def _multilevel(level, seed: int | None, visit_order: Sequence[int] | None,
         if (fixed.dtype.kind not in "iu" or fixed.shape != (n0,)
                 or not np.array_equal(np.sort(fixed), np.arange(n0))):
             raise InputError(f"visit_order must be a permutation of range({n0})")
-    base_seed = seed if seed is not None else 0
-
-    def order(depth: int, pass_idx: int, n: int) -> np.ndarray:
-        if depth == 0 and fixed is not None:
-            return fixed
-        return generator(derive_seed(base_seed, tag, depth, pass_idx)).permutation(n)
 
     membership = np.arange(n0, dtype=np.int64)
     for depth in itertools.count():
         n = level.n
-        first = order(depth, 0, n)
+        first = (fixed if depth == 0 and fixed is not None else
+                 generator(derive_seed(seed or 0, tag, depth, 0)).permutation(n))
         # tie-break key per module: position of its founding node in the
-        # pass-0 order, so renumbering nodes cannot change the outcome; ids
+        # seeded order, so renumbering nodes cannot change the outcome; ids
         # minted at or above n rank after all originals in creation order
         rank = np.argsort(first).tolist()
         comm = list(range(n))
         move = level.mover(comm, lambda c: rank[c] if c < n else c)
-        moves = 0
-        for pass_idx in itertools.count():
-            visit = first if pass_idx == 0 else order(depth, pass_idx, n)
-            moved = sum(map(move, visit.tolist()))
-            if not moved:
-                break
-            moves += moved
+        csrs = level.neighbours()
+        queue = deque(first.tolist())
+        queued = bytearray(b"\x01") * n
+        visits = moves = 0
+        while queue:
+            v = queue.popleft()
+            queued[v] = 0
+            visits += 1
+            if not move(v):
+                continue
+            moves += 1
+            cv = comm[v]
+            for indptr, indices in csrs:
+                for u in indices[indptr[v]:indptr[v + 1]]:
+                    if not queued[u] and comm[u] != cv:
+                        queued[u] = 1
+                        queue.append(u)
         k = n
         if moves:
             labels, k = _compact_by_order(np.array(comm, dtype=np.int64), first)
-        _log.debug("level %(depth)d: n=%(n)d passes=%(passes)d moves=%(moves)d"
-                   " k=%(k)d", {"depth": depth, "n": n, "passes": pass_idx + 1,
+        _log.debug("level %(depth)d: n=%(n)d visits=%(visits)d moves=%(moves)d"
+                   " k=%(k)d", {"depth": depth, "n": n, "visits": visits,
                                 "moves": moves, "k": k})
         if not moves:
             break
@@ -282,6 +284,9 @@ class _ModularityLevel:
             return best_c != cv
 
         return move
+
+    def neighbours(self) -> tuple[tuple[memoryview, memoryview], ...]:
+        return (_csr_views(self.sym)[:2],)
 
     def aggregate(self, labels: np.ndarray, k: int) -> "_ModularityLevel":
         pair = labels[self.targets] * k + labels[self.sources]
@@ -486,6 +491,9 @@ class _FlowLevel:
 
         return move
 
+    def neighbours(self) -> tuple[tuple[memoryview, memoryview], ...]:
+        return (_csr_views(self.out_mat)[:2], _csr_views(self.in_mat)[:2])
+
     def aggregate(self, labels: np.ndarray, k: int) -> "_FlowLevel":
         coo = self.out_mat.tocoo()
         frm = np.concatenate([coo.row, np.arange(self.n)])
@@ -562,9 +570,7 @@ def resolution_sweep(g: RetweetGraph, node_scores: np.ndarray,
     for gi, gamma in enumerate(gammas):
         part = louvain(g, ModularityParams(gamma=float(gamma)),
                        seed=derive_seed(seed, 2, gi))
-        entries = []
-        for prof in community_profiles(part, node_scores):
-            if prof.size > size_floor:
-                entries.append((prof.community, prof.size, prof.mean_score))
-        out.append((float(gamma), entries))
+        out.append((float(gamma), [(p.community, p.size, p.mean_score)
+                                   for p in community_profiles(part, node_scores)
+                                   if p.size > size_floor]))
     return out

@@ -43,9 +43,13 @@ class RetweetGraph:
         if len(self.index_of) != len(self.ids):
             raise InputError("duplicate external node ids")
         self.n = len(self.ids)
-        order = np.lexsort((sources, targets))
-        self.targets = np.asarray(targets, dtype=np.int64)[order]
-        self.sources = np.asarray(sources, dtype=np.int64)[order]
+        t, s = (np.asarray(x, dtype=np.int64) for x in (targets, sources))
+        # an induced subgraph arrives with its (target, source) keys strictly
+        # increasing already, and then skips the sort
+        dt, ds = np.diff(t), np.diff(s)
+        order = (slice(None) if np.all((dt > 0) | ((dt == 0) & (ds > 0)))
+                 else np.lexsort((s, t)))
+        self.targets, self.sources = t[order], s[order]
         self.counts = np.asarray(counts, dtype=np.int64)[order]
         if self.counts.size and self.counts.min() < 1:
             raise InputError("aggregated edge weights must be positive")

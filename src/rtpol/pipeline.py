@@ -65,6 +65,12 @@ class PipelineConfig:
     keywords: tuple[str, ...] = ()
     drop_media_accounts: bool = False
 
+    def __post_init__(self):
+        # the parameter classes own the rules for gamma and tau
+        for gamma in self.gammas:
+            ModularityParams(gamma=gamma)
+        MapEquationParams(tau=self.tau)
+
 
 #: fields recorded under the manifest's "params"
 _PARAMS = ("anchor", "gammas", "tau", "n_perm", "size_floor", "top_k",
@@ -117,6 +123,14 @@ def load_config(path: str | Path) -> PipelineConfig:
         if f.default is MISSING and f.name not in values:
             raise InputError(f"config is missing required key {f.name!r}", path=path)
     return PipelineConfig(**values)
+
+
+def read_graph(path: Path) -> RetweetGraph:
+    """Graph of an edge list with nodes indexed in sorted id order, so that
+    the report does not depend on the order of the lines."""
+    records = parse_edges(path)
+    ids = {r.target for r in records} | {r.source for r in records}
+    return build_graph(records, nodes=sorted(ids))
 
 
 def auto_size_floor(n_nodes: int) -> int:
@@ -287,8 +301,7 @@ def run_report(config: PipelineConfig) -> dict:
         if not config.edges.exists():
             raise InputError(f"edges file {config.edges} does not exist")
         manifest["inputs"]["edges"] = _sha256(config.edges)
-        records = parse_edges(config.edges)
-        g = build_graph(records)
+        g = read_graph(config.edges)
         state["g_full"] = g
         write_json(writer.path("ingest.json"), {
             "n_nodes": g.n, "n_edges": g.n_edges, "n_retweets": g.w,
@@ -326,12 +339,12 @@ def run_report(config: PipelineConfig) -> dict:
         for cs in (pr, hub, auth, indeg, outdeg):
             write_centrality(writer.path(f"centrality_{cs.kind}.csv"), g, cs,
                              range(g.n), prov)
-        rows = []
-        for cs in (pr, hub, auth, indeg, outdeg):
-            for rank, i in enumerate(top_k(cs, config.top_k), start=1):
-                rows.append((cs.kind, rank, g.ids[i], float(cs.values[i])))
         write_csv(writer.path("rankings.csv"),
-                  ("measure", "rank", "node_id", "score"), rows, prov)
+                  ("measure", "rank", "node_id", "score"),
+                  [(cs.kind, rank, g.ids[i], float(cs.values[i]))
+                   for cs in (pr, hub, auth, indeg, outdeg)
+                   for rank, i in enumerate(top_k(cs, config.top_k), start=1)],
+                  prov)
 
     def stage_communities():
         g = state["g"]
@@ -349,13 +362,10 @@ def run_report(config: PipelineConfig) -> dict:
                  else auto_size_floor(g.n))
         sweep = resolution_sweep(g, state["node_scores"], config.gammas,
                                  seed=derive_seed(seed, 22), size_floor=floor)
-        rows = []
-        for gamma, entries in sweep:
-            for comm, size, mean in entries:
-                rows.append((gamma, comm, size, mean))
         write_csv(writer.path("sweep.csv"),
-                  ("gamma", "community", "size", "mean_score"), rows,
-                  prov + f" size_floor={floor}")
+                  ("gamma", "community", "size", "mean_score"),
+                  ((gamma, *entry) for gamma, entries in sweep
+                   for entry in entries), prov + f" size_floor={floor}")
         write_json(writer.path("communities.json"), {
             "louvain": {"k": part_l.k, "modularity": q},
             "infomap": {"k": part_i.k, "description_length_bits": ell},

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import oracles as orc
 from rtpol import EdgeRecord, build_graph, induced_subgraph
 from rtpol import largest_weak_component
+from rtpol.graph import RetweetGraph
 from rtpol.errors import InputError
 
 
@@ -151,6 +152,20 @@ def test_induced_subgraph_keeps_internal_edges():
     assert sorted(sub.ids) == ["a", "b"]
     assert edge_dict(sub) == {("a", "b"): 2}
     assert list(sub.ids) == [g.ids[i] for i in sorted(keep)]
+
+
+def test_unsorted_edge_arrays_come_out_sorted():
+    """Arrays out of (target, source) order are sorted with their counts;
+    already sorted arrays keep their order."""
+    g = RetweetGraph(["a", "b", "c"], np.array([2, 0, 0, 1]),
+                     np.array([0, 2, 1, 1]), np.array([1, 2, 3, 4]))
+    assert g.targets.tolist() == [0, 0, 1, 2]
+    assert g.sources.tolist() == [1, 2, 1, 0]
+    assert g.counts.tolist() == [3, 2, 4, 1]
+    assert g.in_strength.tolist() == [5, 4, 1]
+    same = RetweetGraph(g.ids, g.targets, g.sources, g.counts)
+    for name in ("targets", "sources", "counts"):
+        assert np.array_equal(getattr(same, name), getattr(g, name))
 
 
 def test_induced_subgraph_rejects_out_of_range_indices():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -112,6 +113,17 @@ def test_load_config_rejects_bad_input(tmp_path):
     p.write_bytes(b"edges=e\nfollowership=f\xff\nout_dir=o\n")
     with pytest.raises(InputError, match="run.cfg:2: not UTF-8"):
         load_config(p)
+
+
+def test_load_config_rejects_bad_gamma_and_tau(tmp_path):
+    """A non-finite or out-of-range gamma or tau fails at load, not at the
+    communities stage of a report."""
+    p = tmp_path / "run.cfg"
+    for line in ("gammas = nan", "gammas = 1.0, inf", "gammas = 0",
+                 "tau = nan", "tau = 1.0"):
+        p.write_text(f"edges=e\nfollowership=f\nout_dir=o\n{line}\n")
+        with pytest.raises(InputError, match="gamma|tau"):
+            load_config(p)
 
 
 def test_auto_size_floor():
@@ -228,6 +240,36 @@ def test_report_reruns_are_byte_identical(report_run, tmp_path):
     # manifests agree once wall-clock times are removed
     m1 = json.loads((out_dir / "manifest.json").read_text())
     m2 = json.loads((again / "manifest.json").read_text())
+    for m in (m1, m2):
+        for stage in m["stages"]:
+            stage.pop("seconds")
+    assert m1 == m2
+
+
+def test_report_ignores_edge_line_order(report_run, tmp_path):
+    """Shuffling edges.tsv and splitting one count over two lines changes
+    no output byte: node indices follow the sorted account ids, not the
+    order of the lines."""
+    bundle, out_dir, _ = report_run
+    lines = bundle.edges.read_text().splitlines()
+    head = [ln for ln in lines if ln.startswith("#")]
+    body = [ln for ln in lines if ln and not ln.startswith("#")]
+    random.Random(3).shuffle(body)
+    i = next(i for i, ln in enumerate(body) if int(ln.split("\t")[2]) > 1)
+    target, source, count = body[i].split("\t")
+    body[i:i + 1] = [f"{target}\t{source}\t1",
+                     f"{target}\t{source}\t{int(count) - 1}"]
+    edges = tmp_path / "edges.tsv"
+    edges.write_text("\n".join(head + body) + "\n")
+    cfg = small_config(bundle, tmp_path / "out")
+    run_report(PipelineConfig(**{**cfg.__dict__, "edges": edges}))
+    for name in EXPECTED_FILES:
+        if name != "manifest.json":
+            assert ((tmp_path / "out" / name).read_bytes()
+                    == (out_dir / name).read_bytes()), name
+    m1 = json.loads((out_dir / "manifest.json").read_text())
+    m2 = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert m1["inputs"].pop("edges") != m2["inputs"].pop("edges")
     for m in (m1, m2):
         for stage in m["stages"]:
             stage.pop("seconds")

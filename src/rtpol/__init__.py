@@ -14,8 +14,8 @@ from .graph import (EdgeRecord, RetweetGraph, build_graph, induced_subgraph,
                     largest_weak_component)
 from .pca import (FollowershipMatrix, MediaLoadings, MediaScores,
                   first_principal_component, node_score_array, score_accounts)
-from .centrality import (CentralityScores, ModularDegreeRatio, PageRankParams,
-                         degree_scores, hits, modular_degree_ratio, pagerank,
+from .centrality import (CentralityScores, PageRankParams, degree_scores,
+                         hits, modular_degree_ratio, pagerank,
                          stationary_visit_rates, top_k)
 from .community import (DEFAULT_GAMMA_GRID, CommunityProfile,
                         MapEquationParams, ModularityParams, Partition,

@@ -47,16 +47,6 @@ class CentralityScores:
     values: np.ndarray
 
 
-@dataclass(frozen=True)
-class ModularDegreeRatio:
-    """Weighted in-degree of a node split by its retweeters' community."""
-
-    node: int
-    inter_in: int
-    intra_in: int
-    ratio: float | None
-
-
 def stationary_visit_rates(g: RetweetGraph, damping: float = 0.85,
                            tol: float = 1e-12,
                            max_iters: int = 100_000) -> np.ndarray:
@@ -144,12 +134,12 @@ def degree_scores(g: RetweetGraph, direction: str) -> CentralityScores:
     raise InputError(f"direction must be 'in' or 'out', got {direction!r}")
 
 
-def modular_degree_ratio(g: RetweetGraph,
-                         assignment: Sequence[int]) -> list[ModularDegreeRatio]:
-    """Inter- over intra-community weighted in-degree, per node.
+def modular_degree_ratio(g: RetweetGraph, assignment: Sequence[int],
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted in-degree per node split by its retweeters' community:
+    (inter_in, intra_in) int64 arrays, which sum to `g.in_strength`.
 
-    A node whose retweeters all sit outside its community has intra_in 0;
-    its ratio is reported as None rather than a division error.
+    The paper's ratio is inter_in / intra_in where intra_in is positive.
     """
     part = np.asarray(assignment, dtype=np.int64)
     if part.shape != (g.n,):
@@ -159,12 +149,7 @@ def modular_degree_ratio(g: RetweetGraph,
     same = part[g.targets] == part[g.sources]
     np.add.at(intra, g.targets[same], g.counts[same])
     np.add.at(inter, g.targets[~same], g.counts[~same])
-    out = []
-    for v in range(g.n):
-        ratio = inter[v] / intra[v] if intra[v] > 0 else None
-        out.append(ModularDegreeRatio(node=v, inter_in=int(inter[v]),
-                                      intra_in=int(intra[v]), ratio=ratio))
-    return out
+    return inter, intra
 
 
 def top_k(scores: CentralityScores, k: int) -> list[int]:

@@ -14,16 +14,15 @@ from pathlib import Path
 from .errors import (AnchorError, ConvergenceError, DegenerateInputError,
                      InputError, StageError)
 from .graph import largest_weak_component
-from .centrality import (PageRankParams, degree_scores, hits, pagerank,
-                         modular_degree_ratio, top_k)
+from .centrality import top_k
 from .community import MapEquationParams, ModularityParams, infomap, louvain
 from .io import (parse_followership, parse_partition_csv, parse_scores_csv,
-                 parse_tweets, write_csv, write_json)
+                 parse_tweets, write_json)
 from .pca import first_principal_component, node_score_array, score_accounts
-from .pipeline import (load_config, read_graph, run_report,
+from .pipeline import (CENTRALITY, load_config, read_graph, run_report,
                        write_assortativity, write_centrality, write_loadings,
-                       write_partition, write_profiles, write_scores,
-                       write_text)
+                       write_modular_degree, write_partition, write_profiles,
+                       write_scores, write_text)
 from .polarization import assortativity_report
 from .synth import SyntheticSpec, generate_bundle
 
@@ -58,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("centrality", help="node centrality scores")
     p.add_argument("--edges", required=True, type=Path)
     p.add_argument("--measure", required=True,
-                   choices=("pagerank", "hits", "indeg", "outdeg", "moddeg"))
+                   choices=(*CENTRALITY, "moddeg"))
     p.add_argument("--damping", type=float, default=0.85)
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--topk", type=int, help="limit output to the k best nodes")
@@ -144,19 +143,9 @@ def _cmd_centrality(args) -> None:
             assignment = [comm_of[ext] for ext in g.ids]
         except KeyError as exc:
             raise InputError(f"partition does not cover node {exc.args[0]!r}") from None
-        ratios = modular_degree_ratio(g, assignment)
-        write_csv(args.out, ("node_id", "inter_in", "intra_in", "ratio"),
-                  ((g.ids[r.node], r.inter_in, r.intra_in, r.ratio)
-                   for r in ratios), prov)
+        write_modular_degree(args.out, g, assignment, range(g.n), prov)
         return
-    if args.measure == "pagerank":
-        scores = [pagerank(g, PageRankParams(damping=args.damping, tol=args.tol))]
-    elif args.measure == "hits":
-        scores = list(hits(g, tol=args.tol))
-    elif args.measure == "indeg":
-        scores = [degree_scores(g, "in")]
-    else:
-        scores = [degree_scores(g, "out")]
+    scores = CENTRALITY[args.measure](g, args.damping, args.tol)
     for cs in scores:
         out = args.out
         if len(scores) > 1:

@@ -3,7 +3,7 @@
 Edges are tab-separated `retweeted_id<TAB>retweeter_id<TAB>count` with an
 optional count (default 1) and '#' comment lines. Followership is a CSV
 with an `account_id` header column followed by media labels and 0/1 cells.
-Tweets are JSON lines with `account`, `utc` (ISO UTC, Z suffix) and
+Tweets are JSON lines with `account`, `utc` (YYYY-MM-DDTHH:MM:SSZ) and
 `text`. Inputs are UTF-8; a byte that is not, like any other parse
 error, raises InputError with the file path and one-based line number.
 """
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from contextlib import contextmanager
 from datetime import datetime
 from pathlib import Path
@@ -25,6 +26,8 @@ from .pca import FollowershipMatrix, MediaScores, sign_class
 from .text import TweetRecord
 
 UTC_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
+#: UTC_FORMAT with every field zero-padded, in ASCII digits
+_UTC_RE = re.compile(r"([0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2})Z")
 
 
 @contextmanager
@@ -167,8 +170,8 @@ def parse_tweets(path: str | Path) -> list[TweetRecord]:
                                      path=path, line=lineno)
                 if not obj[field]:
                     raise InputError(f"empty {what}", path=path, line=lineno)
-            try:
-                utc = datetime.strptime(obj["utc"], UTC_FORMAT)
+            try:  # TypeError: not a string, or not in the UTC_FORMAT form
+                utc = datetime.fromisoformat(_UTC_RE.fullmatch(obj["utc"])[1])
             except (TypeError, ValueError):
                 raise InputError(f"utc {obj['utc']!r} does not match {UTC_FORMAT}",
                                  path=path, line=lineno) from None
@@ -179,12 +182,16 @@ def parse_tweets(path: str | Path) -> list[TweetRecord]:
 
 def _table_rows(path: Path, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
     """(line, row) per data row of a CSV in the `header` layout. Blank and
-    comment rows and the header row are skipped; each row must have the
-    header's width and an id (first cell) not seen before."""
+    comment rows are skipped, and so is the first other row if it is the
+    header; each row must have the header's width and an id (first cell)
+    not seen before."""
     seen: set[str] = set()
     with open_utf8(path, newline="") as fh:
-        for lineno, row in enumerate(_csv_rows(fh, path), start=1):
-            if not row or row[0].startswith("#") or row[0] == header[0]:
+        rows = ((lineno, row) for lineno, row
+                in enumerate(_csv_rows(fh, path), start=1)
+                if row and not row[0].startswith("#"))
+        for i, (lineno, row) in enumerate(rows):
+            if i == 0 and row[0] == header[0]:
                 continue
             if len(row) != len(header):
                 raise InputError(f"expected {','.join(header)}", path=path, line=lineno)

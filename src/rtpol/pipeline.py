@@ -54,7 +54,7 @@ class PipelineConfig:
     edges: Path
     followership: Path
     out_dir: Path
-    tweets: Path | None = None
+    tweets: Path
     anchor: str | None = None
     gammas: tuple[float, ...] = DEFAULT_GAMMA_GRID
     tau: float = 0.15
@@ -154,7 +154,6 @@ class _StageWriter:
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
         self.pending: list[tuple[Path, Path]] = []
-        self.written: list[str] = []
 
     def path(self, name: str) -> Path:
         final = self.out_dir / name
@@ -163,11 +162,10 @@ class _StageWriter:
         return partial
 
     def commit(self) -> list[str]:
-        for partial, final in self.pending:
+        done, self.pending = self.pending, []
+        for partial, final in done:
             os.replace(partial, final)
-        names = [final.name for _, final in self.pending]
-        self.pending.clear()
-        return names
+        return [final.name for _, final in done]
 
 
 # Writers of the formats that both `run_report` and the CLI produce; callers
@@ -205,10 +203,32 @@ def write_profiles(path: Path, part: Partition, node_scores: np.ndarray,
               prov)
 
 
+#: measure -> its scores, in report order, given (graph, damping d, tol).
+#: Each entry looks its layer function up in this module's globals when
+#: called, so that a function rebound there is the one that runs.
+CENTRALITY: dict[str, Callable[..., list[CentralityScores]]] = {
+    "pagerank": lambda g, d, tol: [pagerank(g, PageRankParams(d, tol))],
+    "hits": lambda g, d, tol: list(hits(g, tol=tol)),
+    "indeg": lambda g, d, tol: [degree_scores(g, "in")],
+    "outdeg": lambda g, d, tol: [degree_scores(g, "out")],
+}
+
+
 def write_centrality(path: Path, g: RetweetGraph, cs: CentralityScores,
                      order: Iterable[int], prov: str) -> None:
     write_csv(path, ("node_id", "score"),
               ((g.ids[i], float(cs.values[i])) for i in order), prov)
+
+
+def write_modular_degree(path: Path, g: RetweetGraph, assignment: Sequence[int],
+                         order: Iterable[int], prov: str) -> None:
+    """The nodes of `order` with their in-degree split by retweeter
+    community; the ratio inter_in / intra_in is empty where intra_in is 0."""
+    inter, intra = modular_degree_ratio(g, assignment)
+    write_csv(path, ("node_id", "in_degree", "inter_in", "intra_in", "ratio"),
+              ((g.ids[i], int(g.in_strength[i]), inter[i], intra[i],
+                inter[i] / intra[i] if intra[i] else None)
+               for i in map(int, order)), prov)
 
 
 def write_assortativity(path: Path, report: AssortativityReport, seed: int,
@@ -297,11 +317,16 @@ def run_report(config: PipelineConfig) -> dict:
 
     prov = f"seed={seed} tau={config.tau} n_perm={config.n_perm}"
 
+    def input_path(key: str) -> Path:
+        """The configured input file `key`, hashed into the manifest."""
+        path = getattr(config, key)
+        if not path.exists():
+            raise InputError(f"{key} file {path} does not exist")
+        manifest["inputs"][key] = _sha256(path)
+        return path
+
     def stage_ingest():
-        if not config.edges.exists():
-            raise InputError(f"edges file {config.edges} does not exist")
-        manifest["inputs"]["edges"] = _sha256(config.edges)
-        g = read_graph(config.edges)
+        g = read_graph(input_path("edges"))
         state["g_full"] = g
         write_json(writer.path("ingest.json"), {
             "n_nodes": g.n, "n_edges": g.n_edges, "n_retweets": g.w,
@@ -318,10 +343,7 @@ def run_report(config: PipelineConfig) -> dict:
                   ((i, ext) for i, ext in enumerate(g.ids)), prov)
 
     def stage_scores():
-        if not config.followership.exists():
-            raise InputError(f"followership file {config.followership} does not exist")
-        manifest["inputs"]["followership"] = _sha256(config.followership)
-        matrix, dropped = parse_followership(config.followership)
+        matrix, dropped = parse_followership(input_path("followership"))
         loadings = first_principal_component(matrix, config.anchor)
         scores = score_accounts(matrix, loadings)
         state["media_labels"] = list(matrix.media)
@@ -332,17 +354,16 @@ def run_report(config: PipelineConfig) -> dict:
 
     def stage_centrality():
         g = state["g"]
-        pr = pagerank(g, PageRankParams())
-        hub, auth = hits(g)
-        indeg = degree_scores(g, "in")
-        outdeg = degree_scores(g, "out")
-        for cs in (pr, hub, auth, indeg, outdeg):
+        params = PageRankParams()
+        scores = [cs for measure in CENTRALITY.values()
+                  for cs in measure(g, params.damping, params.tol)]
+        for cs in scores:
             write_centrality(writer.path(f"centrality_{cs.kind}.csv"), g, cs,
                              range(g.n), prov)
         write_csv(writer.path("rankings.csv"),
                   ("measure", "rank", "node_id", "score"),
                   [(cs.kind, rank, g.ids[i], float(cs.values[i]))
-                   for cs in (pr, hub, auth, indeg, outdeg)
+                   for cs in scores
                    for rank, i in enumerate(top_k(cs, config.top_k), start=1)],
                   prov)
 
@@ -377,13 +398,9 @@ def run_report(config: PipelineConfig) -> dict:
         for name in ("louvain", "infomap"):
             write_profiles(writer.path(f"profiles_{name}.csv"),
                            state[f"part_{name}"], node_scores, prov)
-        ratios = modular_degree_ratio(g, state["part_louvain"].assignment)
-        indeg_rank = np.argsort(-g.in_strength, kind="stable")[:config.top_k]
-        write_csv(writer.path("modular_degree.csv"),
-                  ("node_id", "in_degree", "inter_in", "intra_in", "ratio"),
-                  ((g.ids[int(i)], int(g.in_strength[int(i)]),
-                    ratios[int(i)].inter_in, ratios[int(i)].intra_in,
-                    ratios[int(i)].ratio) for i in indeg_rank), prov)
+        by_indeg = np.argsort(-g.in_strength, kind="stable")[:config.top_k]
+        write_modular_degree(writer.path("modular_degree.csv"), g,
+                             state["part_louvain"].assignment, by_indeg, prov)
 
     def stage_assortativity():
         g = state["g"]
@@ -396,12 +413,7 @@ def run_report(config: PipelineConfig) -> dict:
                             drop)
 
     def stage_text():
-        if config.tweets is None:
-            raise InputError("no tweets file configured")
-        if not config.tweets.exists():
-            raise InputError(f"tweets file {config.tweets} does not exist")
-        manifest["inputs"]["tweets"] = _sha256(config.tweets)
-        corpus = parse_tweets(config.tweets)
+        corpus = parse_tweets(input_path("tweets"))
         community_of = dict(zip(state["g"].ids,
                                 state["part_louvain"].assignment.tolist()))
         write_text(writer.path, corpus, state["scores"], community_of,

@@ -57,16 +57,14 @@ class MixingMatrix:
 
 @dataclass(frozen=True, eq=False)
 class AssortativityReport:
-    rho: float
-    n_dyads: int
     perm: PermutationResult
     mixing: MixingMatrix
     r: float
 
     def to_json_dict(self) -> dict:
         return {
-            "rho": self.rho,
-            "n_dyads": self.n_dyads,
+            "rho": self.perm.rho,
+            "n_dyads": self.perm.n_dyads,
             "perm": {
                 "n": self.perm.n_perm,
                 "mean": self.perm.mean,
@@ -285,5 +283,4 @@ def assortativity_report(g: RetweetGraph, node_scores: np.ndarray,
         scores = scores[keep]
     perm = permutation_test(g, scores, n_perm=n_perm, seed=seed)
     mix = mixing_matrix(g, classes_from_scores(scores))
-    return AssortativityReport(rho=perm.rho, n_dyads=perm.n_dyads, perm=perm,
-                               mixing=mix, r=assortativity_r(mix))
+    return AssortativityReport(perm=perm, mixing=mix, r=assortativity_r(mix))

@@ -11,20 +11,11 @@ from __future__ import annotations
 import numpy as np
 
 _M64 = (1 << 64) - 1
-_GAMMA = 0x9E3779B97F4A7C15
-
-
-def splitmix64(x: int) -> int:
-    """One splitmix64 scrambling round on a 64-bit integer."""
-    x = (x + _GAMMA) & _M64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _M64
-    return (x ^ (x >> 31)) & _M64
 
 
 def splitmix64_array(x: np.ndarray) -> np.ndarray:
     """Vectorized splitmix64 on a uint64 array (wraparound arithmetic)."""
-    x = (x + np.uint64(_GAMMA)).astype(np.uint64)
+    x = (x + np.uint64(0x9E3779B97F4A7C15)).astype(np.uint64)
     x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return x ^ (x >> np.uint64(31))
@@ -32,10 +23,10 @@ def splitmix64_array(x: np.ndarray) -> np.ndarray:
 
 def derive_seed(master: int, *indices: int) -> int:
     """Fold stage/replicate indices into the master seed, one round per index."""
-    s = splitmix64(master & _M64)
+    s = splitmix64_array(np.array([master & _M64], dtype=np.uint64))
     for ix in indices:
-        s = splitmix64(s ^ (ix & _M64))
-    return s
+        s = splitmix64_array(s ^ np.uint64(ix & _M64))
+    return int(s[0])
 
 
 def generator(seed: int) -> np.random.Generator:

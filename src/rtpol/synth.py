@@ -89,20 +89,23 @@ def bloc_labels(spec: SyntheticSpec) -> dict[str, str]:
 
 
 def planted_edges(spec: SyntheticSpec) -> list[EdgeRecord]:
-    """Poisson retweet counts per ordered pair, self-pairs excluded."""
+    """Poisson retweet counts per ordered pair, self-pairs excluded. Row
+    blocks of the rate matrix, in order, give the draws of the whole one."""
     ids = account_ids(spec)
     n = len(ids)
     rng = generator(derive_seed(spec.seed, 10))
     is_left = np.arange(n) < spec.n_left
-    rate = np.where(is_left[:, None] == is_left[None, :], spec.p_in, spec.p_out)
-    np.fill_diagonal(rate, 0.0)
-    try:
-        counts = rng.poisson(rate)
-    except ValueError as exc:  # a rate too large for the Poisson sampler
-        raise InputError(f"cannot draw retweet counts: {exc}") from None
-    t_idx, s_idx = np.nonzero(counts)
-    return [EdgeRecord(target=ids[t], source=ids[s], count=int(counts[t, s]))
-            for t, s in zip(t_idx, s_idx)]
+    out = []
+    for rows in np.array_split(np.arange(n), 1 + n * n // (1 << 20)):
+        rate = np.where(is_left[rows, None] == is_left, spec.p_in, spec.p_out)
+        rate[np.arange(rows.size), rows] = 0.0
+        try:
+            counts = rng.poisson(rate)
+        except ValueError as exc:  # a rate too large for the Poisson sampler
+            raise InputError(f"cannot draw retweet counts: {exc}") from None
+        out += [EdgeRecord(ids[rows[t]], ids[s], int(counts[t, s]))
+                for t, s in zip(*np.nonzero(counts))]
+    return out
 
 
 def planted_followership(spec: SyntheticSpec) -> tuple[list[str], np.ndarray]:

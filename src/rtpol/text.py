@@ -57,7 +57,6 @@ class ChiSquareRow:
 @dataclass(frozen=True, eq=False)
 class ChiSquareTable:
     rows: list[ChiSquareRow]
-    skipped: list[tuple[str, str]]
 
 
 @dataclass(frozen=True)
@@ -116,10 +115,9 @@ def chi_square(table: WordCountTable) -> ChiSquareTable:
     """Rank tokens by how sharply they separate the two sides.
 
     Tokens whose denominator vanishes (a side with no other tokens) are
-    skipped with a note. Ties are broken lexicographically.
+    skipped. Ties are broken lexicographically.
     """
     rows = []
-    skipped = []
     for token in set(table.left) | set(table.right):
         f_l = table.left.get(token, 0)
         f_r = table.right.get(token, 0)
@@ -128,14 +126,12 @@ def chi_square(table: WordCountTable) -> ChiSquareTable:
         denom = (float(f_l + f_r) * float(not_l + not_r)
                  * float(f_l + not_l) * float(f_r + not_r))
         if denom == 0.0:
-            skipped.append((token, "degenerate denominator"))
             continue
         num = float(f_l * not_r - f_r * not_l) ** 2
         rows.append(ChiSquareRow(token=token, chi2=num / denom,
                                  f_left=f_l, f_right=f_r))
     rows.sort(key=lambda r: (-r.chi2, r.token))
-    skipped.sort()
-    return ChiSquareTable(rows=rows, skipped=skipped)
+    return ChiSquareTable(rows=rows)
 
 
 def hashtag_top_per_community(corpus: Sequence[TweetRecord],

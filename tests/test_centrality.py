@@ -142,16 +142,17 @@ def test_degree_scores():
 def test_modular_degree_examples():
     # x retweeted 3 times inside its community, 0 outside
     g = build_graph([EdgeRecord("x", "y", 3)])
-    rows = modular_degree_ratio(g, [0, 0])
-    assert rows[0].intra_in == 3 and rows[0].inter_in == 0
-    assert rows[0].ratio == 0.0
+    inter, intra = modular_degree_ratio(g, [0, 0])
+    assert (inter.tolist(), intra.tolist()) == ([0, 0], [3, 0])
     # 2 inside, 1 outside
     g2 = build_graph([EdgeRecord("x", "y", 2), EdgeRecord("x", "z", 1)])
-    rows = modular_degree_ratio(g2, [0, 0, 1])
-    assert rows[0].ratio == 0.5
-    # intra 0: ratio absent, not an error
-    rows = modular_degree_ratio(g, [0, 1])
-    assert rows[0].intra_in == 0 and rows[0].ratio is None
+    inter, intra = modular_degree_ratio(g2, [0, 0, 1])
+    assert (inter[0], intra[0]) == (1, 2)
+    # all outside: intra 0
+    inter, intra = modular_degree_ratio(g, [0, 1])
+    assert (inter[0], intra[0]) == (3, 0)
+    with pytest.raises(InputError, match="cover every node"):
+        modular_degree_ratio(g, [0])
 
 
 def test_modular_degree_splits_weighted_in_degree():
@@ -159,8 +160,10 @@ def test_modular_degree_splits_weighted_in_degree():
     for _ in range(20):
         g = orc.random_graph(rng, 10)
         part = rng.integers(0, 3, g.n)
-        for row in modular_degree_ratio(g, part):
-            assert row.inter_in + row.intra_in == g.in_strength[row.node]
+        inter, intra = modular_degree_ratio(g, part)
+        assert inter.dtype == intra.dtype == np.int64
+        assert (inter >= 0).all() and (intra >= 0).all()
+        np.testing.assert_array_equal(inter + intra, g.in_strength)
 
 
 def test_top_k():

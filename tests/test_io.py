@@ -11,9 +11,14 @@ from hypothesis import strategies as st
 
 from rtpol import EdgeRecord, SyntheticSpec, build_graph, generate_bundle
 from rtpol.errors import InputError
+from rtpol.community import Partition
 from rtpol.io import (parse_edges, parse_followership, parse_partition_csv,
                       parse_scores_csv, parse_tweets, write_csv, write_json)
-from rtpol.synth import bloc_labels, planted_edges, planted_followership
+from rtpol.pca import MediaScores
+from rtpol.pipeline import write_partition, write_scores
+from rtpol.rng import derive_seed, generator
+from rtpol.synth import (account_ids, bloc_labels, planted_edges,
+                         planted_followership)
 
 
 def file_hash(path) -> str:
@@ -125,6 +130,52 @@ def test_parse_tweets_errors_carry_line(tmp_path):
     p.write_text('{"account": "u1", "utc": "2017-08-12T15:04:05Z", "text": ""}\n')
     with pytest.raises(InputError, match="empty tweet text"):
         parse_tweets(p)
+
+
+def _parsed_utc(utc) -> datetime | None:
+    """`utc` as parse_tweets reads it, or None when it is rejected."""
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "tweets.jsonl"
+        p.write_text(json.dumps({"account": "u", "utc": utc, "text": "hi"})
+                     + "\n", encoding="utf-8")
+        try:
+            return parse_tweets(p)[0].utc
+        except InputError as exc:
+            assert "does not match" in str(exc)
+            return None
+
+
+def _field(valid_hi: int, lo: int = 0):
+    """A two-digit field, drawn from its valid range half of the time."""
+    return st.integers(lo, valid_hi) | st.integers(0, 99)
+
+
+padded_utc = st.tuples(st.integers(0, 9999), _field(12, 1), _field(31, 1),
+                       _field(23), _field(59), _field(61)).map(
+    lambda t: "%04d-%02d-%02dT%02d:%02d:%02dZ" % t)
+
+
+@given(padded_utc)
+@settings(max_examples=300, deadline=None)
+def test_parse_tweets_utc_agrees_with_strptime_on_padded_ascii(utc):
+    try:
+        expected = datetime.strptime(utc, "%Y-%m-%dT%H:%M:%SZ")
+    except ValueError:
+        expected = None
+    assert _parsed_utc(utc) == expected
+
+
+def test_parse_tweets_utc_rejects_what_strptime_also_reads():
+    """strptime reads unpadded fields, non-ASCII digits and a lowercase
+    t or z; the documented form has none of them. Non-strings and strings
+    with a missing Z or extra characters stay rejected."""
+    for utc in ("2020-1-1T1:2:3Z", "\uff12\uff10\uff12\uff10-01-01T00:00:00Z",
+                "2020-01-01t00:00:00z"):
+        datetime.strptime(utc, "%Y-%m-%dT%H:%M:%SZ")
+        assert _parsed_utc(utc) is None, utc
+    for utc in (20200101, None, ["2020-01-01T00:00:00Z"], "2020-01-01T00:00:00",
+                " 2020-01-01T00:00:00Z", "2020-01-01T00:00:00Z0"):
+        assert _parsed_utc(utc) is None, utc
 
 
 def test_parse_tweets_requires_string_account_and_text(tmp_path):
@@ -254,6 +305,31 @@ def test_scores_csv_round_trip(tmp_path):
     assert back.classes == classes
 
 
+def test_ids_named_like_the_header_round_trip(tmp_path):
+    """Only the first row after the comments is the header; an account or
+    node whose id is the header's first name is data."""
+    scores = MediaScores(scores={"aaron": -0.5, "account_id": 0.25, "zed": 0.0},
+                         classes={"aaron": "left", "account_id": "right",
+                                  "zed": "unclassified"})
+    write_scores(tmp_path / "scores.csv", scores, "seed=0")
+    back = parse_scores_csv(tmp_path / "scores.csv")
+    assert (back.scores, back.classes) == (scores.scores, scores.classes)
+
+    g = build_graph([EdgeRecord("node_id", "a"), EdgeRecord("a", "b")],
+                    nodes=["a", "b", "node_id"])
+    part = Partition(assignment=np.array([0, 1, 1]), k=2)
+    write_partition(tmp_path / "partition.csv", g, part, "seed=0")
+    assert parse_partition_csv(tmp_path / "partition.csv") == {
+        "a": 0, "b": 1, "node_id": 1}
+    # in a headerless file such a row is data too; a late header is an error
+    (tmp_path / "bare.csv").write_text("a,0\nnode_id,3\n")
+    assert parse_partition_csv(tmp_path / "bare.csv") == {"a": 0, "node_id": 3}
+    (tmp_path / "late.csv").write_text("a,0\nnode_id,community\n")
+    with pytest.raises(InputError, match="is not an integer") as exc:
+        parse_partition_csv(tmp_path / "late.csv")
+    assert exc.value.line == 2
+
+
 def test_scores_csv_rejects_unknown_class(tmp_path):
     p = tmp_path / "scores.csv"
     p.write_text("account_id,score,class\nu1,0.5,centrist\n")
@@ -353,6 +429,38 @@ def test_bundle_byte_determinism(tmp_path):
     b3 = generate_bundle(SyntheticSpec(n_left=40, n_right=40, p_in=0.1,
                                        p_out=0.01, seed=4), tmp_path / "three")
     assert file_hash(b1.edges) != file_hash(b3.edges)
+
+
+def test_default_bundle_bytes_are_pinned(tmp_path):
+    """The files of the default spec, hashed before the edge draw went to
+    row blocks; the c03/c05 and README inputs must not move."""
+    bundle = generate_bundle(SyntheticSpec(), tmp_path)
+    assert {p.name: file_hash(p) for p in
+            (bundle.edges, bundle.followership, bundle.tweets)} == {
+        "edges.tsv":
+            "3d0b43c4108df64b77202b2adf7e02271982e4a9125a325cd00143e7bab3d03d",
+        "followership.csv":
+            "55b77ef73233d5bb285ec09950b63901a14c1b22c4d982b7206aeee688afa21d",
+        "tweets.jsonl":
+            "54ef540ac76d60e38b052229fe9bae479b0bad939e87c5af17b499f31deb742b",
+    }
+
+
+def test_planted_edges_row_blocks_match_the_dense_draw():
+    # 2,100 accounts take five row blocks
+    spec = SyntheticSpec(n_left=1100, n_right=1000, p_in=0.004, p_out=0.0005,
+                         seed=2)
+    ids = account_ids(spec)
+    n = len(ids)
+    is_left = np.arange(n) < spec.n_left
+    rate = np.where(is_left[:, None] == is_left[None, :], spec.p_in,
+                    spec.p_out)
+    np.fill_diagonal(rate, 0.0)
+    counts = generator(derive_seed(spec.seed, 10)).poisson(rate)
+    t_idx, s_idx = np.nonzero(counts)
+    assert planted_edges(spec) == [
+        EdgeRecord(target=ids[t], source=ids[s], count=int(counts[t, s]))
+        for t, s in zip(t_idx, s_idx)]
 
 
 def test_bundle_parses_back(tmp_path):

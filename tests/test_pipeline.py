@@ -81,13 +81,17 @@ def test_load_config(tmp_path):
 
 def test_load_config_defaults_and_auto_floor(tmp_path):
     p = tmp_path / "run.cfg"
-    p.write_text("edges=e\nfollowership=f\nout_dir=o\nsize_floor=auto\n")
+    p.write_text("edges=e\nfollowership=f\ntweets=t\nout_dir=o\n"
+                 "size_floor=auto\n")
     cfg = load_config(p)
     assert cfg.size_floor is None
-    assert cfg.tweets is None
     assert cfg.tau == 0.15
     assert cfg.n_perm == 100_000
     assert cfg.drop_media_accounts is False
+    # the text stage needs a corpus, so a config without one fails at load
+    p.write_text("edges=e\nfollowership=f\nout_dir=o\n")
+    with pytest.raises(InputError, match="missing required key 'tweets'"):
+        load_config(p)
 
 
 def test_load_config_rejects_bad_input(tmp_path):
@@ -121,7 +125,7 @@ def test_load_config_rejects_bad_gamma_and_tau(tmp_path):
     p = tmp_path / "run.cfg"
     for line in ("gammas = nan", "gammas = 1.0, inf", "gammas = 0",
                  "tau = nan", "tau = 1.0"):
-        p.write_text(f"edges=e\nfollowership=f\nout_dir=o\n{line}\n")
+        p.write_text(f"edges=e\nfollowership=f\ntweets=t\nout_dir=o\n{line}\n")
         with pytest.raises(InputError, match="gamma|tau"):
             load_config(p)
 
@@ -228,6 +232,27 @@ def test_cli_subcommands_write_the_report_formats(report_run, tmp_path,
     unique = json.loads((out_dir / "unique.json").read_text())
     del unique["seed"]
     assert json.loads((tmp_path / "text" / "unique.json").read_text()) == unique
+
+def test_cli_moddeg_covers_every_node(report_run, tmp_path, capsys):
+    bundle, _, _ = report_run
+    part = tmp_path / "louvain.csv"
+    assert main(["communities", "--edges", str(bundle.edges),
+                 "--out", str(part)]) == 0
+    assert main(["centrality", "--edges", str(bundle.edges),
+                 "--measure", "moddeg", "--partition", str(part),
+                 "--out", str(tmp_path / "moddeg.csv")]) == 0
+    capsys.readouterr()
+    header, *rows = _data_rows(tmp_path / "moddeg.csv")
+    assert header == ["node_id", "in_degree", "inter_in", "intra_in", "ratio"]
+    assert [r[0] for r in rows] == sorted(parse_partition_csv(part))
+    assert any(r[3] == "0" for r in rows) and any(r[3] != "0" for r in rows)
+    for node, in_degree, inter, intra, ratio in rows:
+        assert int(inter) + int(intra) == int(in_degree), node
+        if int(intra) == 0:
+            assert ratio == "", node
+        else:
+            assert float(ratio) == int(inter) / int(intra), node
+
 
 def test_report_reruns_are_byte_identical(report_run, tmp_path):
     bundle, out_dir, _ = report_run
@@ -433,6 +458,44 @@ def test_cli_report_console_script(tmp_path):
     _check_report_subprocess(tmp_path, ["rtpol"])
 
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.mark.skipif(not (PERFBENCH / "child.py").is_file(),
+                    reason="perfbench/ is absent")
+def test_traced_report_fires_every_benchmark_span(tmp_path):
+    """perfbench/run.py leaves out a per-layer metric whose spans never
+    occur. Its tracer rebinds the layer functions in rtpol.pipeline's
+    globals (and a few nested ones), so a layer call that bypasses those
+    names loses its metric. Runs in a child because of that rebinding."""
+    env = _child_env()
+    names = subprocess.run(
+        [sys.executable, "-B", "-c",
+         "import json, run; print(json.dumps([sorted({n for v in "
+         "run.SPAN_TIMES.values() for n in v}), "
+         "sorted(set(run.SPAN_COUNTS.values()))]))"],
+        cwd=PERFBENCH, capture_output=True, text=True, env=env)
+    assert names.returncode == 0, names.stderr
+    timed, counted = json.loads(names.stdout)
+    bundle = generate_bundle(SMALL, tmp_path / "bundle")
+    cfg = tmp_path / "traced.cfg"
+    cfg.write_text(f"edges={bundle.edges}\nfollowership={bundle.followership}\n"
+                   f"tweets={bundle.tweets}\nout_dir={tmp_path / 'out'}\n"
+                   "gammas=0.01,1.0\nn_perm=400\nkeywords=#Charlottesville\n")
+    spans_path = tmp_path / "spans.jsonl"
+    proc = subprocess.run(
+        [sys.executable, "-B", str(PERFBENCH / "child.py"), "traced", str(cfg),
+         str(spans_path)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    spans = [json.loads(line) for line in spans_path.read_text().splitlines()]
+    fired = {s["name"] for s in spans}
+    required = {*timed, *counted, "community.resolution_sweep",
+                "community.louvain"}
+    assert sorted(required - fired) == []
+    assert [name for name in counted
+            if all(s["count"] is None for s in spans if s["name"] == name)] == []
+
+
 def test_import_loads_no_scipy_solver_modules():
     # scipy.sparse.csgraph pulls in scipy.linalg and scipy.sparse.linalg,
     # about 10 MB of resident memory and 60 ms per process start
@@ -469,7 +532,7 @@ def test_cli_non_utf8_input_subprocess(tmp_path):
     edges.write_bytes(b"\xff\xfea\tb\n")
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"edges={edges}\nfollowership={tmp_path / 'f.csv'}\n"
-                   f"out_dir={tmp_path / 'out'}\n")
+                   f"tweets={tmp_path / 't.jsonl'}\nout_dir={tmp_path / 'out'}\n")
     proc = subprocess.run(
         [sys.executable, "-m", "rtpol", "report", "--config", str(cfg)],
         capture_output=True, text=True, env=_child_env())
@@ -484,7 +547,8 @@ def test_cli_rejects_non_finite_parameters(tmp_path, capsys):
     bundle = generate_bundle(SMALL, tmp_path / "bundle")
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"edges={bundle.edges}\nfollowership={bundle.followership}\n"
-                   f"out_dir={tmp_path / 'report'}\ngammas=nan,1.0\n")
+                   f"tweets={bundle.tweets}\nout_dir={tmp_path / 'report'}\n"
+                   "gammas=nan,1.0\n")
     out = str(tmp_path / "out.csv")
     cases = [
         ["communities", "--edges", str(ring), "--gamma", "nan", "--out", out],
@@ -525,7 +589,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     # 1 via report: StageError wrapping an input problem
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"edges={tmp_path / 'nope.tsv'}\nfollowership=f\n"
-                   f"out_dir={tmp_path / 'out'}\n")
+                   f"tweets=t\nout_dir={tmp_path / 'out'}\n")
     assert main(["report", "--config", str(cfg)]) == 1
     capsys.readouterr()
 

@@ -25,9 +25,9 @@ from .polarization import (AssortativityReport, MixingMatrix,
                            PermutationResult, assortativity_r,
                            assortativity_report, classes_from_scores,
                            dyad_correlation, mixing_matrix, permutation_test)
-from .text import (ChiSquareTable, TweetRecord, UniqueStats, WordCountTable,
-                   chi_square, hashtag_top_per_community, keyword_subset,
-                   remove_stopwords, tokenize, unique_fraction,
-                   word_counts_by_class)
+from .text import (ChiSquareTable, CorpusScan, TweetRecord, UniqueStats,
+                   WordCountTable, chi_square, hashtag_top_per_community,
+                   keyword_subset, remove_stopwords, scan_corpus, tokenize,
+                   unique_fraction, word_counts_by_class)
 from .synth import SyntheticSpec, bloc_labels, generate_bundle, planted_edges
 from .pipeline import PipelineConfig, load_config, run_report

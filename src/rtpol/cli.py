@@ -14,7 +14,7 @@ from pathlib import Path
 from .errors import (AnchorError, ConvergenceError, DegenerateInputError,
                      InputError, StageError)
 from .graph import largest_weak_component
-from .centrality import top_k
+from .centrality import degree_scores, top_k
 from .community import MapEquationParams, ModularityParams, infomap, louvain
 from .io import (parse_followership, parse_partition_csv, parse_scores_csv,
                  parse_tweets, write_json)
@@ -143,7 +143,9 @@ def _cmd_centrality(args) -> None:
             assignment = [comm_of[ext] for ext in g.ids]
         except KeyError as exc:
             raise InputError(f"partition does not cover node {exc.args[0]!r}") from None
-        write_modular_degree(args.out, g, assignment, range(g.n), prov)
+        order = (top_k(degree_scores(g, "in"), args.topk)
+                 if args.topk is not None else range(g.n))
+        write_modular_degree(args.out, g, assignment, order, prov)
         return
     scores = CENTRALITY[args.measure](g, args.damping, args.tol)
     for cs in scores:

@@ -182,16 +182,16 @@ def parse_tweets(path: str | Path) -> list[TweetRecord]:
 
 def _table_rows(path: Path, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
     """(line, row) per data row of a CSV in the `header` layout. Blank and
-    comment rows are skipped, and so is the first other row if it is the
-    header; each row must have the header's width and an id (first cell)
-    not seen before."""
+    comment rows are skipped, and so is the first other row if it equals the
+    whole header; each row must have the header's width and an id (first
+    cell) not seen before."""
     seen: set[str] = set()
     with open_utf8(path, newline="") as fh:
         rows = ((lineno, row) for lineno, row
                 in enumerate(_csv_rows(fh, path), start=1)
                 if row and not row[0].startswith("#"))
         for i, (lineno, row) in enumerate(rows):
-            if i == 0 and row[0] == header[0]:
+            if i == 0 and tuple(row) == tuple(header):
                 continue
             if len(row) != len(header):
                 raise InputError(f"expected {','.join(header)}", path=path, line=lineno)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import os
 import time
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -41,7 +41,8 @@ from .pca import (MediaLoadings, MediaScores, first_principal_component,
 from .polarization import AssortativityReport, assortativity_report
 from .rng import derive_seed
 from .text import (TweetRecord, chi_square, hashtag_top_per_community,
-                   keyword_subset, unique_fraction, word_counts_by_class)
+                   keyword_subset, scan_corpus, unique_fraction,
+                   word_counts_by_class)
 
 ENV_OUT_DIR = "RTPOL_OUT_DIR"
 
@@ -239,13 +240,9 @@ def write_assortativity(path: Path, report: AssortativityReport, seed: int,
 
 def _unique_by_side(records: Sequence[TweetRecord],
                     classes: Mapping[str, str]) -> dict:
-    out = {}
-    for side in ("left", "right"):
-        stats = unique_fraction([r for r in records
-                                 if classes.get(r.account) == side])
-        out[side] = {"total": stats.total, "unique": stats.unique,
-                     "fraction": stats.fraction}
-    return out
+    return {side: asdict(unique_fraction([r for r in records
+                                          if classes.get(r.account) == side]))
+            for side in ("left", "right")}
 
 
 def write_text(path_of: Callable[[str], Path], corpus: list[TweetRecord],
@@ -253,21 +250,21 @@ def write_text(path_of: Callable[[str], Path], corpus: list[TweetRecord],
                keywords: Sequence[str], prov: str, meta: Mapping) -> None:
     """word_counts.csv, hashtags.csv if `community_of` is given, and
     unique.json plus the `meta` keys, each at `path_of(file name)`."""
-    table = word_counts_by_class(corpus, scores)
+    scan = scan_corpus(corpus, scores.classes, community_of, keywords)
+    table = word_counts_by_class(scan)
     chi = chi_square(table)
     write_csv(path_of("word_counts.csv"),
               ("token", "left_count", "right_count", "chi2"),
               ((r.token, r.f_left, r.f_right, r.chi2) for r in chi.rows),
               f"{prov} excluded_tweets={table.n_excluded_tweets}".lstrip())
     if community_of is not None:
-        covered = [rec for rec in corpus if rec.account in community_of]
-        tags = hashtag_top_per_community(covered, community_of)
+        tags = hashtag_top_per_community(scan)
         write_csv(path_of("hashtags.csv"), ("community", "hashtag", "count"),
                   ((c, tag, cnt) for c, (tag, cnt) in sorted(tags.items())),
-                  f"{prov} skipped_tweets={len(corpus) - len(covered)}".lstrip())
+                  f"{prov} skipped_tweets={scan.n_skipped_tweets}".lstrip())
     write_json(path_of("unique.json"), {
         "overall": _unique_by_side(corpus, scores.classes),
-        "keywords": {kw: _unique_by_side(keyword_subset(corpus, kw),
+        "keywords": {kw: _unique_by_side(keyword_subset(scan, kw),
                                          scores.classes) for kw in keywords},
         **meta})
 

@@ -15,22 +15,22 @@ fnotL, fnotR count the remaining tokens of each side.
 from __future__ import annotations
 
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import datetime
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError
-from .pca import MediaScores
 from .stopwords import DEFAULT_EXTRA_STOPWORDS, ENGLISH_STOPWORDS
 
 _URL_RE = re.compile(r"https?://\S+")
 _TOKEN_RE = re.compile(r"[#@]?\w+(?:'\w+)*")
 #: hashtags whose lowercase form contains this are the collection's own tag
 COLLECTION_TAG = "charlottesville"
+_STOPWORDS = ENGLISH_STOPWORDS | DEFAULT_EXTRA_STOPWORDS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TweetRecord:
     account: str
     utc: datetime
@@ -59,6 +59,16 @@ class ChiSquareTable:
     rows: list[ChiSquareRow]
 
 
+@dataclass(frozen=True, eq=False)
+class CorpusScan:
+    """What `scan_corpus` collects in its one pass over a corpus."""
+    sides: dict[str, Counter]  # "left", "right" -> token counts
+    n_excluded_tweets: int
+    hashtags: dict[int, Counter] | None
+    n_skipped_tweets: int
+    by_keyword: dict[str, list[TweetRecord]]
+
+
 @dataclass(frozen=True)
 class UniqueStats:
     total: int
@@ -74,41 +84,55 @@ def tokenize(text: str) -> list[str]:
 def remove_stopwords(tokens: Iterable[str]) -> list[str]:
     """Drop exact matches of the embedded English list and of the
     platform-noise set."""
-    return [t for t in tokens
-            if t not in ENGLISH_STOPWORDS and t not in DEFAULT_EXTRA_STOPWORDS]
+    return [t for t in tokens if t not in _STOPWORDS]
 
 
-def word_counts_by_class(corpus: Sequence[TweetRecord],
-                         scores: MediaScores) -> WordCountTable:
-    """Token counts over the left and right sides of the corpus.
-
-    Tweets by unscored or unclassified accounts are excluded and counted.
-    """
-    left: Counter = Counter()
-    right: Counter = Counter()
-    excluded = 0
+def scan_corpus(corpus: Sequence[TweetRecord], classes: Mapping[str, str],
+                community_of: Mapping[str, int] | None,
+                keywords: Iterable[str]) -> CorpusScan:
+    """Tokenize each tweet once; its tokens feed the stop-word-free word
+    counts of its side, its community's hashtags (only with a `community_of`)
+    and the keywords it contains, and are then dropped. Tweets with no side
+    are counted as excluded, tweets with no community as skipped."""
+    sides = {"left": Counter(), "right": Counter()}
+    hashtags = None if community_of is None else defaultdict(Counter)
+    by_keyword: dict[str, list[TweetRecord]] = {kw: [] for kw in keywords}
+    excluded = skipped = 0
     for rec in corpus:
-        side = scores.classes.get(rec.account)
-        if side == "left":
-            bag = left
-        elif side == "right":
-            bag = right
-        else:
+        tokens = tokenize(rec.text)
+        bag = sides.get(classes.get(rec.account))
+        if bag is None:
             excluded += 1
-            continue
-        bag.update(remove_stopwords(tokenize(rec.text)))
-    return WordCountTable(left=left, right=right,
-                          total_left=sum(left.values()),
+        else:
+            bag.update(remove_stopwords(tokens))
+        if hashtags is not None:
+            comm = community_of.get(rec.account)
+            if comm is None:
+                skipped += 1
+            else:
+                for tok in tokens:
+                    if tok[0] == "#" and COLLECTION_TAG not in tok.lower():
+                        hashtags[int(comm)][tok] += 1
+        for kw, hits in by_keyword.items():
+            if kw in tokens:
+                hits.append(rec)
+    return CorpusScan(sides, excluded, hashtags, skipped, by_keyword)
+
+
+def word_counts_by_class(scan: CorpusScan) -> WordCountTable:
+    """Token counts over the left and right sides of the corpus."""
+    left, right = scan.sides["left"], scan.sides["right"]
+    return WordCountTable(left=left, right=right, total_left=sum(left.values()),
                           total_right=sum(right.values()),
-                          n_excluded_tweets=excluded)
+                          n_excluded_tweets=scan.n_excluded_tweets)
 
 
-def keyword_subset(corpus: Sequence[TweetRecord],
-                   keyword: str) -> list[TweetRecord]:
-    """Tweets whose token stream contains the keyword exactly (case sensitive)."""
+def keyword_subset(scan: CorpusScan, keyword: str) -> list[TweetRecord]:
+    """Tweets whose token stream contains the keyword exactly (case
+    sensitive); the keyword must be one the scan looked for."""
     if not keyword:
         raise InputError("keyword must be nonempty")
-    return [rec for rec in corpus if keyword in tokenize(rec.text)]
+    return scan.by_keyword[keyword]
 
 
 def chi_square(table: WordCountTable) -> ChiSquareTable:
@@ -134,29 +158,17 @@ def chi_square(table: WordCountTable) -> ChiSquareTable:
     return ChiSquareTable(rows=rows)
 
 
-def hashtag_top_per_community(corpus: Sequence[TweetRecord],
-                              community_of: Mapping[str, int],
-                              ) -> dict[int, tuple[str, int]]:
+def hashtag_top_per_community(scan: CorpusScan) -> dict[int, tuple[str, int]]:
     """Most used hashtag per community, skipping the collection tag.
 
     Hashtags whose lowercase form contains `COLLECTION_TAG` are ignored;
-    count ties go to the lexicographically smaller tag. Tweet authors must
-    all be covered by `community_of`. Communities without any remaining
-    hashtag are absent from the result.
+    count ties go to the lexicographically smaller tag. Communities without
+    any remaining hashtag are absent from the result.
     """
-    per_comm: dict[int, Counter] = {}
-    for rec in corpus:
-        if rec.account not in community_of:
-            raise InputError(f"account {rec.account!r} has no community assignment")
-        comm = int(community_of[rec.account])
-        for tok in tokenize(rec.text):
-            if tok.startswith("#") and COLLECTION_TAG not in tok.lower():
-                per_comm.setdefault(comm, Counter())[tok] += 1
-    out: dict[int, tuple[str, int]] = {}
-    for comm, bag in per_comm.items():
-        tag = min(bag, key=lambda t: (-bag[t], t))
-        out[comm] = (tag, bag[tag])
-    return out
+    if scan.hashtags is None:
+        raise InputError("hashtags need a community assignment")
+    return {comm: min(bag.items(), key=lambda item: (-item[1], item[0]))
+            for comm, bag in scan.hashtags.items()}
 
 
 def unique_fraction(corpus: Sequence[TweetRecord]) -> UniqueStats:

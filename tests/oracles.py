@@ -2,14 +2,21 @@
 
 Everything here is written the slow, obvious way: dense matrices, literal
 double sums, exhaustive enumeration, textbook entropy formulas. None of it
-shares code with src/, so a disagreement points at exactly one side.
+shares code with src/, so a disagreement points at exactly one side. The
+text oracles are the exception: they take the tokenizer from src/ (it has
+tests of its own) and scan the corpus once per statistic, as the package
+did before its one-pass `scan_corpus`.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
 from rtpol.graph import RetweetGraph
+from rtpol.stopwords import DEFAULT_EXTRA_STOPWORDS, ENGLISH_STOPWORDS
+from rtpol.text import COLLECTION_TAG, WordCountTable, tokenize
 
 
 def dense_adjacency(g: RetweetGraph) -> np.ndarray:
@@ -326,3 +333,50 @@ def random_graph(rng: np.random.Generator, n_max: int = 10,
     if ensure_edge and not records:
         records.append(EdgeRecord(target="v0", source="v1", count=1))
     return build_graph(records, nodes=[f"v{i}" for i in range(n)])
+
+
+def word_counts_multi_scan(corpus, classes) -> WordCountTable:
+    """Left/right token counts without stop words, by one corpus scan;
+    tweets of accounts classed neither left nor right are excluded."""
+    left: Counter = Counter()
+    right: Counter = Counter()
+    excluded = 0
+    for rec in corpus:
+        side = classes.get(rec.account)
+        if side == "left":
+            bag = left
+        elif side == "right":
+            bag = right
+        else:
+            excluded += 1
+            continue
+        bag.update(t for t in tokenize(rec.text)
+                   if t not in ENGLISH_STOPWORDS
+                   and t not in DEFAULT_EXTRA_STOPWORDS)
+    return WordCountTable(left=left, right=right,
+                          total_left=sum(left.values()),
+                          total_right=sum(right.values()),
+                          n_excluded_tweets=excluded)
+
+
+def hashtag_top_multi_scan(corpus, community_of) -> tuple[dict, int]:
+    """(community -> (top hashtag, count), tweets skipped): the tweets of
+    accounts `community_of` covers are kept by one scan, and their hashtags
+    other than the collection tag counted by another."""
+    covered = [rec for rec in corpus if rec.account in community_of]
+    per_comm: dict[int, Counter] = {}
+    for rec in covered:
+        comm = int(community_of[rec.account])
+        for tok in tokenize(rec.text):
+            if tok.startswith("#") and COLLECTION_TAG not in tok.lower():
+                per_comm.setdefault(comm, Counter())[tok] += 1
+    top = {}
+    for comm, bag in per_comm.items():
+        tag = min(bag, key=lambda t: (-bag[t], t))
+        top[comm] = (tag, bag[tag])
+    return top, len(corpus) - len(covered)
+
+
+def keyword_subset_multi_scan(corpus, keyword: str) -> list:
+    """Tweets whose tokens include `keyword` exactly, by one corpus scan."""
+    return [rec for rec in corpus if keyword in tokenize(rec.text)]

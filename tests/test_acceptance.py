@@ -19,8 +19,8 @@ from rtpol import (EdgeRecord, FollowershipMatrix, MediaScores,
                    assortativity_r, assortativity_report, build_graph,
                    chi_square, first_principal_component, generate_bundle,
                    hits, infomap, louvain, map_equation, modularity, pagerank,
-                   resolution_sweep, score_accounts, shannon_diversity,
-                   word_counts_by_class)
+                   resolution_sweep, scan_corpus, score_accounts,
+                   shannon_diversity, word_counts_by_class)
 from rtpol.pipeline import PipelineConfig, run_report
 from rtpol.synth import bloc_labels, planted_edges, planted_tweets
 from rtpol.text import TweetRecord
@@ -290,7 +290,7 @@ def test_c10_chi_square_fixtures_and_symmetry():
     scores = MediaScores(
         scores={a: (-1.0 if s == "left" else 1.0) for a, s in blocs.items()},
         classes=blocs)
-    table = word_counts_by_class(corpus, scores)
+    table = word_counts_by_class(scan_corpus(corpus, scores.classes, None, ()))
     swapped = WordCountTable(left=table.right, right=table.left,
                              total_left=table.total_right,
                              total_right=table.total_left,

@@ -330,6 +330,14 @@ def test_ids_named_like_the_header_round_trip(tmp_path):
     assert exc.value.line == 2
 
 
+def test_first_row_is_the_header_only_if_it_is_the_whole_header(tmp_path):
+    (tmp_path / "first.csv").write_text("node_id,3\na,0\n")
+    assert parse_partition_csv(tmp_path / "first.csv") == {"node_id": 3, "a": 0}
+    (tmp_path / "first_scores.csv").write_text("account_id,0.5,right\nb,-1.0,left\n")
+    back = parse_scores_csv(tmp_path / "first_scores.csv")
+    assert back.classes == {"account_id": "right", "b": "left"}
+
+
 def test_scores_csv_rejects_unknown_class(tmp_path):
     p = tmp_path / "scores.csv"
     p.write_text("account_id,score,class\nu1,0.5,centrist\n")

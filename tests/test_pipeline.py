@@ -254,6 +254,24 @@ def test_cli_moddeg_covers_every_node(report_run, tmp_path, capsys):
             assert float(ratio) == int(inter) / int(intra), node
 
 
+def test_cli_moddeg_topk_keeps_the_report_order(report_run, tmp_path, capsys):
+    bundle, out_dir, _ = report_run
+    report_rows = _data_rows(out_dir / "modular_degree.csv")
+    for k in (5, 20):
+        out = tmp_path / f"moddeg{k}.csv"
+        assert main(["centrality", "--edges", str(bundle.edges),
+                     "--measure", "moddeg", "--topk", str(k),
+                     "--partition", str(out_dir / "partition_louvain.csv"),
+                     "--out", str(out)]) == 0
+        header, *rows = _data_rows(out)
+        assert len(rows) == k
+        # the report writes its top_k = 20 nodes by in-degree
+        assert [header, *rows] == report_rows[:k + 1]
+        degrees = [int(r[1]) for r in rows]
+        assert degrees == sorted(degrees, reverse=True)
+    capsys.readouterr()
+
+
 def test_report_reruns_are_byte_identical(report_run, tmp_path):
     bundle, out_dir, _ = report_run
     again = tmp_path / "again"

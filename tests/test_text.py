@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles as orc
+import rtpol.text
 from rtpol import MediaScores, TweetRecord, chi_square, hashtag_top_per_community
 from rtpol import keyword_subset, remove_stopwords, tokenize, unique_fraction
-from rtpol import word_counts_by_class
+from rtpol import scan_corpus, word_counts_by_class
 from rtpol.errors import InputError
+from rtpol.pipeline import write_text
 from rtpol.stopwords import DEFAULT_EXTRA_STOPWORDS, ENGLISH_STOPWORDS
 from rtpol.text import WordCountTable
 
@@ -101,7 +104,7 @@ def test_word_counts_by_class():
     corpus = [tweet("u1", "alpha beta"), tweet("u1", "beta"),
               tweet("u2", "gamma"), tweet("nobody", "delta")]
     s = scores_for(u1="left", u2="right")
-    table = word_counts_by_class(corpus, s)
+    table = word_counts_by_class(scan_corpus(corpus, s.classes, None, ()))
     assert table.left == Counter({"beta": 2, "alpha": 1})
     assert table.right == Counter({"gamma": 1})
     assert (table.total_left, table.total_right) == (3, 1)
@@ -111,7 +114,7 @@ def test_word_counts_by_class():
 def test_word_counts_totals_match_filtered_stream():
     corpus = [tweet("u1", "the quick brown fox"), tweet("u2", "is it the fox")]
     s = scores_for(u1="left", u2="right")
-    table = word_counts_by_class(corpus, s)
+    table = word_counts_by_class(scan_corpus(corpus, s.classes, None, ()))
     manual = sum(len(remove_stopwords(tokenize(rec.text))) for rec in corpus)
     assert table.total_left + table.total_right == manual
 
@@ -119,7 +122,7 @@ def test_word_counts_totals_match_filtered_stream():
 def test_identical_corpora_identical_tables():
     corpus = [tweet("u1", "vigil crowd"), tweet("u2", "vigil crowd")]
     s = scores_for(u1="left", u2="right")
-    table = word_counts_by_class(corpus, s)
+    table = word_counts_by_class(scan_corpus(corpus, s.classes, None, ()))
     assert table.left == table.right
 
 
@@ -130,16 +133,18 @@ def test_identical_corpora_identical_tables():
 
 def test_keyword_subset_case_sensitive():
     corpus = [tweet("a", "Trump won"), tweet("b", "trump won")]
-    assert [r.account for r in keyword_subset(corpus, "Trump")] == ["a"]
+    scan = scan_corpus(corpus, {}, None, ("Trump",))
+    assert [r.account for r in keyword_subset(scan, "Trump")] == ["a"]
 
 
 def test_keyword_subset_hashtag_and_absent():
     corpus = [tweet("a", "march on #Charlottesville now"),
               tweet("b", "elsewhere")]
-    assert [r.account for r in keyword_subset(corpus, "#Charlottesville")] == ["a"]
-    assert keyword_subset(corpus, "zzz") == []
+    scan = scan_corpus(corpus, {}, None, ("#Charlottesville", "zzz"))
+    assert [r.account for r in keyword_subset(scan, "#Charlottesville")] == ["a"]
+    assert keyword_subset(scan, "zzz") == []
     with pytest.raises(InputError):
-        keyword_subset(corpus, "")
+        keyword_subset(scan, "")
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +231,7 @@ def test_hashtag_top_per_community():
     corpus = [tweet("a", "#Trump rally"), tweet("a", "#Trump again"),
               tweet("a", "#Barcelona"), tweet("b", "#Resist")]
     comm = {"a": 0, "b": 1}
-    top = hashtag_top_per_community(corpus, comm)
+    top = hashtag_top_per_community(scan_corpus(corpus, {}, comm, ()))
     assert top[0] == ("#Trump", 2)
     assert top[1] == ("#Resist", 1)
 
@@ -234,20 +239,92 @@ def test_hashtag_top_per_community():
 def test_hashtag_exclusion_substring():
     corpus = [tweet("a", "#Charlottesville2017 vigil"),
               tweet("b", "#UniteTheRight #charlottesvilleRiot")]
-    top = hashtag_top_per_community(corpus, {"a": 0, "b": 1})
+    top = hashtag_top_per_community(scan_corpus(corpus, {}, {"a": 0, "b": 1}, ()))
     assert 0 not in top  # its only hashtag was excluded
     assert top[1] == ("#UniteTheRight", 1)
 
 
 def test_hashtag_tie_breaks_lexicographically():
     corpus = [tweet("a", "#B #A")]
-    top = hashtag_top_per_community(corpus, {"a": 0})
+    top = hashtag_top_per_community(scan_corpus(corpus, {}, {"a": 0}, ()))
     assert top[0] == ("#A", 1)
 
 
 def test_hashtag_requires_community_coverage():
+    # authors outside the assignment are skipped and counted by the scan;
+    # a scan made without any assignment has no hashtags to rank
     with pytest.raises(InputError):
-        hashtag_top_per_community([tweet("ghost", "#x")], {"a": 0})
+        hashtag_top_per_community(scan_corpus([tweet("ghost", "#x")], {}, None, ()))
+
+
+# ---------------------------------------------------------------------------
+# one pass against the per-statistic scans
+# ---------------------------------------------------------------------------
+
+FRAGMENTS = ["Trump", "trump", "vigil", "the", "RT", "amp", "don't", "runnin'",
+             "#it's", "@big_deal", "#HoldTheLine", "#HoldTheLineX", "#Resist",
+             "#Charlottesville", "#charlottesvilleRiot", "#CHARLOTTESVILLE2017",
+             "https://t.co/#Resist", "http://x.co/a#HoldTheLine", "é"]
+# N1 and ghost have no score; ghost has no community either
+CLASSES = {"L1": "left", "L2": "left", "R1": "right", "U1": "unclassified"}
+ACCOUNTS = [*CLASSES, "N1", "ghost"]
+KEYWORDS = ["Trump", "#HoldTheLine", "don't", "#Resist", "#it's", "zzz"]
+
+tweets = st.builds(
+    tweet, st.sampled_from(ACCOUNTS),
+    st.lists(st.tuples(st.sampled_from(FRAGMENTS),
+                       st.sampled_from([" ", "", ",", ". ", "\n"])),
+             max_size=12).map(lambda parts: "".join(f + sep for f, sep in parts)))
+
+
+@given(st.lists(tweets, max_size=25),
+       st.none() | st.dictionaries(st.sampled_from(ACCOUNTS[:-1]),
+                                   st.integers(0, 2)),
+       st.lists(st.sampled_from(KEYWORDS), unique=True, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_scan_corpus_matches_the_per_statistic_scans(corpus, community_of,
+                                                     keywords):
+    scan = scan_corpus(corpus, CLASSES, community_of, keywords)
+    table = word_counts_by_class(scan)
+    want = orc.word_counts_multi_scan(corpus, CLASSES)
+    assert (table.left, table.right) == (want.left, want.right)
+    assert (table.total_left, table.total_right, table.n_excluded_tweets) == (
+        want.total_left, want.total_right, want.n_excluded_tweets)
+    assert chi_square(table).rows == chi_square(want).rows
+    if community_of is None:
+        assert scan.hashtags is None
+    else:
+        top, skipped = orc.hashtag_top_multi_scan(corpus, community_of)
+        assert hashtag_top_per_community(scan) == top
+        assert scan.n_skipped_tweets == skipped
+    for kw in keywords:
+        assert keyword_subset(scan, kw) == orc.keyword_subset_multi_scan(corpus, kw)
+
+
+def test_write_text_tokenizes_each_tweet_once(tmp_path, monkeypatch):
+    corpus = [tweet(acc, text) for acc, text in [
+        ("L1", "Trump #Resist https://t.co/#Trump"), ("R1", "#HoldTheLine RT"),
+        ("U1", "don't #Charlottesville"), ("ghost", "Trump"), ("L2", "")]]
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr(rtpol.text, "tokenize", counting)
+    write_text(tmp_path.joinpath, corpus, MediaScores({}, CLASSES),
+               {"L1": 0, "L2": 0, "R1": 1, "U1": 1},
+               ("Trump", "#HoldTheLine", "don't"), "", {})
+    assert len(calls) == len(corpus)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "hashtags.csv", "unique.json", "word_counts.csv"]
+
+
+def test_tweet_records_have_slots_and_value_semantics():
+    rec = tweet("a", "x")
+    assert not hasattr(rec, "__dict__")
+    assert rec == tweet("a", "x") and hash(rec) == hash(tweet("a", "x"))
+    assert rec != tweet("a", "y")
 
 
 # ---------------------------------------------------------------------------

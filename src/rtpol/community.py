@@ -341,26 +341,15 @@ def _build_flows(g: RetweetGraph, params: MapEquationParams,
     return p, flows, dangling
 
 
-def _description_length(n_orig: int, p_total: np.ndarray, qlink: np.ndarray,
-                        umass: np.ndarray, sizes: np.ndarray,
-                        node_term: float) -> float:
-    """Two-level codelength from per-module aggregates, in bits.
-
-    Uses the algebraic form L = plogp(q) - 2 sum plogp(q_m)
-    + sum plogp(q_m + p_m) - sum_alpha plogp(p_alpha); the last sum is the
-    partition-independent `node_term`.
-    """
-    q_m = qlink + umass * (n_orig - sizes) / n_orig
-    q = float(q_m.sum())
-    total = _plogp(q) - node_term
-    for qm, pm in zip(q_m, p_total):
-        total += -2.0 * _plogp(float(qm)) + _plogp(float(qm + pm))
-    return total
-
-
 def map_equation(g: RetweetGraph, partition: Partition,
                  params: MapEquationParams = MapEquationParams()) -> float:
-    """Description length (bits) of the partition under the damped walk."""
+    """Description length (bits) of the partition under the damped walk.
+
+    Uses the algebraic form L = plogp(q) - 2 sum plogp(q_m)
+    + sum plogp(q_m + p_m) - sum_alpha plogp(p_alpha), where module m
+    exits at rate q_m: its link flow out plus the dangling rate that its
+    nodes spread to the nodes outside it.
+    """
     a = partition.assignment
     if a.shape != (g.n,):
         raise InputError("partition does not cover the graph")
@@ -368,11 +357,13 @@ def map_equation(g: RetweetGraph, partition: Partition,
     k = partition.k
     cross = a[g.targets] != a[g.sources]
     qlink = np.bincount(a[g.sources[cross]], weights=flows[cross], minlength=k)
-    p_total = np.bincount(a, weights=p, minlength=k)
     umass = np.bincount(a, weights=dangling, minlength=k)
     sizes = np.bincount(a, minlength=k).astype(np.float64)
-    node_term = float(sum(_plogp(float(x)) for x in p))
-    return _description_length(g.n, p_total, qlink, umass, sizes, node_term)
+    q_m = qlink + umass * (g.n - sizes) / g.n
+    total = _plogp(float(q_m.sum())) - float(sum(_plogp(float(x)) for x in p))
+    for qm, pm in zip(q_m, np.bincount(a, weights=p, minlength=k)):
+        total += -2.0 * _plogp(float(qm)) + _plogp(float(qm + pm))
+    return total
 
 
 class _FlowLevel:

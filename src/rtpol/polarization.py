@@ -11,6 +11,7 @@ classes yields the scalar assortativity coefficient
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,6 +25,12 @@ from .rng import splitmix64_array
 
 #: replicate fraction above which skipped permutations trigger a warning
 SKIP_WARN_FRACTION = 0.01
+# Bytes of one [block, n_scored] float64 array of the permutation null. On a
+# 2 MB-per-core L2, 0.5 MB (66 rows at n_scored = 983) ran faster than 16 or
+# 256 rows; at 49k scored nodes 1 to 8 rows ran at the same speed.
+_BLOCK_BYTES = 1 << 19
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,21 +123,102 @@ def dyad_correlation(g: RetweetGraph,
     return float((xc @ yc) / denom), int(n)
 
 
-def _replicate_keys(seed: int, lo: int, hi: int, n_items: int) -> np.ndarray:
-    """splitmix64 sort keys of replicates lo..hi-1, one row per replicate.
+def _item_salts(n_items: int) -> np.ndarray:
+    return splitmix64_array(
+        np.arange(n_items, dtype=np.uint64) ^ np.uint64(0x5851F42D4C957F2D))
+
+
+def _replicate_keys(seed: int, lo: int, hi: int, salts: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """splitmix64 sort keys of replicates lo..hi-1, one row per replicate,
+    computed in `out` when given.
 
     Row k - lo holds splitmix64(splitmix64(seed + k) ^ salt_i) for item i,
-    with salt_i = splitmix64(i ^ 0x5851F42D4C957F2D). The entries of a row
-    are pairwise distinct: splitmix64 is a bijection on 64-bit words, so
-    the salts of distinct items differ, XOR with one replicate seed keeps
-    them apart, and the outer round maps them to distinct keys. Any
-    argsort of a row is therefore the same permutation as a stable one.
+    with salt_i = splitmix64(i ^ 0x5851F42D4C957F2D) (`_item_salts`). The
+    entries of a row are pairwise distinct: splitmix64 is a bijection on
+    64-bit words, so the salts of distinct items differ, XOR with one
+    replicate seed keeps them apart, and the outer round maps them to
+    distinct keys. Any argsort of a row is therefore the same permutation
+    as a stable one.
     """
     rep_seeds = splitmix64_array(
         np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + np.arange(lo, hi, dtype=np.uint64))
-    item_salt = splitmix64_array(
-        np.arange(n_items, dtype=np.uint64) ^ np.uint64(0x5851F42D4C957F2D))
-    return splitmix64_array(rep_seeds[:, None] ^ item_salt[None, :])
+    keys = np.bitwise_xor(rep_seeds[:, None], salts[None, :], out=out)
+    return splitmix64_array(keys, out=keys)
+
+
+def _key_order(keys: np.ndarray, out: np.ndarray,
+               scratch: np.ndarray) -> np.ndarray:
+    """Row-wise argsort of distinct uint64 keys, as int64 item indices in
+    `out`'s memory (`out` and `scratch` are uint64, shaped like `keys`).
+
+    Each word keeps its key's bits above the bit_length(n_items - 1) low
+    bits, which take the item index, and one in-place sort per row orders
+    the words. Where a row's high parts strictly increase, that is the
+    argsort; a row where two of them are equal (about n_items**2 /
+    2**(65 - low bits) per row) is argsorted from its full keys.
+    """
+    n = keys.shape[1]
+    low = np.uint64((1 << (n - 1).bit_length()) - 1)
+    packed = np.bitwise_and(keys, ~low, out=out)
+    packed |= np.arange(n, dtype=np.uint64)
+    packed.sort(axis=1)
+    # neighbours with equal high parts differ in the low bits only
+    step = np.bitwise_xor(packed[:, 1:], packed[:, :-1], out=scratch[:, 1:])
+    ties = np.flatnonzero(step.min(axis=1) <= low)
+    packed &= low
+    order = packed.view(np.int64)
+    for r in ties:
+        order[r] = np.argsort(keys[r])
+    return order
+
+
+def _replicate_rhos(vals: np.ndarray, src: np.ndarray, tgt: np.ndarray,
+                    seed: int, lo: int, hi: int) -> np.ndarray:
+    """Dyad correlations of replicates lo..hi-1, NaN where skipped; see
+    `permutation_test`."""
+    n = vals.size
+    m = src.size
+    d_out = np.bincount(src, minlength=n).astype(np.float64)
+    d_in = np.bincount(tgt, minlength=n).astype(np.float64)
+    dyads = sparse.csr_matrix((np.ones(m), (src, tgt)), shape=(n, n))
+    tiny = m * (1e-12 * max(1.0, float(np.abs(vals).max()))) ** 2
+    salts = _item_salts(n)
+    rows = min(max(1, _BLOCK_BYTES // (8 * n)), hi - lo)
+    keys = np.empty((rows, n), dtype=np.uint64)
+    s_buf = np.empty((rows, n))
+    xc_buf = np.empty((rows, n))
+    rhos = np.full(hi - lo, np.nan)
+    skipped = 0
+    for a in range(lo, hi, rows):
+        b = min(rows, hi - a)
+        order = _key_order(_replicate_keys(seed, a, a + b, salts, out=keys[:b]),
+                           xc_buf[:b].view(np.uint64), s_buf[:b].view(np.uint64))
+        s = np.take(vals, order, out=s_buf[:b])
+        # Each sum runs along a contiguous row, which numpy sums pairwise in
+        # an order set by n alone. Centred moments, not sum(x**2) -
+        # sum(x)**2 / m: the raw form cancels to rounding noise near
+        # eps * m * scale**2, far above `tiny`, and would keep replicates
+        # with a constant margin.
+        tmp = keys[:b].view(np.float64)
+        mx = np.multiply(s, d_out, out=tmp).sum(axis=1) / m
+        my = np.multiply(s, d_in, out=tmp).sum(axis=1) / m
+        xc = np.subtract(s, mx[:, None], out=xc_buf[:b])
+        yc = np.subtract(s, my[:, None], out=s)
+        sxx = np.multiply(np.square(xc, out=tmp), d_out, out=tmp).sum(axis=1)
+        syy = np.multiply(np.square(yc, out=tmp), d_in, out=tmp).sum(axis=1)
+        # scipy's sparse product copies an operand whose replicate
+        # columns are not contiguous
+        yct = keys.view(np.float64).ravel()[:n * b].reshape(n, b)
+        np.copyto(yct, yc.T)
+        sxy = np.multiply(xc, (dyads @ yct).T, out=yc).sum(axis=1)
+        ok = (sxx > tiny) & (syy > tiny)
+        np.divide(sxy, np.sqrt(sxx * syy), out=rhos[a - lo:a - lo + b], where=ok)
+        skipped += b - int(np.count_nonzero(ok))
+        _log.debug("permutation null: %(done)d of %(total)d replicates,"
+                   " %(skipped)d skipped", {"done": a + b - lo,
+                                            "total": hi - lo, "skipped": skipped})
+    return rhos
 
 
 def permutation_test(g: RetweetGraph, node_scores: np.ndarray,
@@ -140,12 +228,11 @@ def permutation_test(g: RetweetGraph, node_scores: np.ndarray,
     Replicate k reassigns the score multiset uniformly at random among the
     originally scored nodes: scored node i takes the score of the item
     with the i-th smallest of the sort keys derived by splitmix64 from
-    (seed + k) (`_replicate_keys`), so any replicate can be regenerated
-    independently. The returned z compares the observed correlation (`rho`,
-    over `n_dyads`) against the null mean and standard deviation.
-    Replicates with a degenerate margin (centred sum of squares at most
-    `tiny`) are skipped and counted; more than 1% of them flips the
-    warning flag.
+    (seed + k) (`_replicate_keys`). The returned z compares the observed
+    correlation (`rho`, over `n_dyads`) against the null mean and standard
+    deviation. Replicates with a degenerate margin (centred sum of squares
+    at most `tiny`) are skipped and counted; more than 1% of them flips
+    the warning flag.
 
     Replicates are evaluated in blocks without forming per-dyad values.
     The dyad margins of a permuted score vector s are repeats of it,
@@ -156,42 +243,22 @@ def permutation_test(g: RetweetGraph, node_scores: np.ndarray,
         mean(y) = d_in . s / m,           syy = d_in . (s - mean(y))**2,
         sxy = (s - mean(x))^T D (s - mean(y)),
 
-    and a block needs one sparse-dense product for sxy.
+    and a block needs one sparse-dense product for sxy. Each sum runs
+    along one replicate's row in an order fixed by n_scored alone, so
+    replicate k has the same bits in any block and alone
+    (`_replicate_rhos(..., k, k + 1)`). A block holds as many replicates
+    as fit `_BLOCK_BYTES` per [block, n_scored] float64 array, which keeps
+    it in a per-core L2 cache. A replicate's permutation is the argsort of
+    its keys, found by one in-place sort of words that pack each key's
+    high bits above the item index, with a full argsort for the rare row
+    whose high parts tie (`_key_order`). One DEBUG record per block on the
+    `rtpol.polarization` logger gives the replicates done and skipped.
     """
     if n_perm < 2:
         raise InputError(f"need at least 2 permutation replicates, got {n_perm}")
     rho_obs, n_dyads = dyad_correlation(g, node_scores)
     vals, src, tgt = _dyad_positions(g, node_scores)
-    n_scored = vals.size
-    m = src.size
-    d_out = np.bincount(src, minlength=n_scored).astype(np.float64)
-    d_in = np.bincount(tgt, minlength=n_scored).astype(np.float64)
-    dyads = sparse.csr_matrix((np.ones(m), (src, tgt)),
-                              shape=(n_scored, n_scored))
-    scale = float(np.abs(vals).max())
-    tiny = m * (1e-12 * max(1.0, scale)) ** 2
-
-    rhos = np.empty(n_perm)
-    # 250k float64 (2 MB) per [block, n_scored] array stays within a 4 MB
-    # per-core L2 cache and keeps peak memory low; 1M-element blocks ran
-    # slower on such a core
-    chunk = max(16, 250_000 // n_scored)
-    for lo in range(0, n_perm, chunk):
-        hi = min(lo + chunk, n_perm)
-        s = vals[np.argsort(_replicate_keys(seed, lo, hi, n_scored), axis=1)]
-        # Centred moments, not sum(x**2) - sum(x)**2 / m: the raw form
-        # cancels to rounding noise near eps * m * scale**2, far above
-        # `tiny`, and would keep replicates with a constant margin.
-        xc = s - (s @ d_out / m)[:, None]
-        yc = s - (s @ d_in / m)[:, None]
-        sxx = (xc * xc) @ d_out
-        syy = (yc * yc) @ d_in
-        sxy = np.einsum("ij,ji->i", xc, dyads @ yc.T)
-        ok = (sxx > tiny) & (syy > tiny)
-        block = np.full(hi - lo, np.nan)
-        block[ok] = sxy[ok] / np.sqrt(sxx[ok] * syy[ok])
-        rhos[lo:hi] = block
-
+    rhos = _replicate_rhos(vals, src, tgt, seed, 0, n_perm)
     kept = rhos[~np.isnan(rhos)]
     n_skipped = int(n_perm - kept.size)
     if kept.size < 2:

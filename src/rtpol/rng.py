@@ -13,12 +13,16 @@ import numpy as np
 _M64 = (1 << 64) - 1
 
 
-def splitmix64_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 on a uint64 array (wraparound arithmetic)."""
-    x = (x + np.uint64(0x9E3779B97F4A7C15)).astype(np.uint64)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
+def splitmix64_array(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Vectorized splitmix64 on a uint64 array (wraparound arithmetic),
+    computed in place in `out` when given (which may be `x` itself)."""
+    out = np.add(x, np.uint64(0x9E3779B97F4A7C15), out=out)
+    tmp = np.empty_like(out)
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        out ^= np.right_shift(out, np.uint64(shift), out=tmp)
+        out *= np.uint64(mult)
+    out ^= np.right_shift(out, np.uint64(31), out=tmp)
+    return out
 
 
 def derive_seed(master: int, *indices: int) -> int:

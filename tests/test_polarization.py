@@ -1,4 +1,5 @@
 import itertools
+import logging
 import math
 
 import numpy as np
@@ -10,7 +11,9 @@ from rtpol import assortativity_r, assortativity_report, classes_from_scores
 from rtpol import dyad_correlation, mixing_matrix, permutation_test
 from rtpol import polarization
 from rtpol.errors import DegenerateInputError, InputError
-from rtpol.polarization import SKIP_WARN_FRACTION, _replicate_keys
+from rtpol.polarization import (SKIP_WARN_FRACTION, _dyad_positions,
+                                _item_salts, _key_order, _replicate_keys,
+                                _replicate_rhos)
 from rtpol.rng import derive_seed
 from rtpol.synth import SyntheticSpec, account_ids, planted_edges
 
@@ -225,12 +228,56 @@ def test_permutation_matches_replicate_contract_oracle():
 
 @pytest.mark.parametrize("seed", [0, 7, 2**63 + 5, 2**64 - 3])
 def test_replicate_keys_distinct_so_any_argsort_is_stable(seed):
-    keys = _replicate_keys(seed, 0, 64, 3000)
+    keys = _replicate_keys(seed, 0, 64, _item_salts(3000))
     ordered = np.sort(keys, axis=1)
     assert (ordered[:, 1:] != ordered[:, :-1]).all()
     assert np.array_equal(np.argsort(keys, axis=1),
                           np.argsort(keys, axis=1, kind="stable"))
     assert np.argsort(keys[5]).tolist() == orc.replicate_order(seed, 5, 3000)
+
+
+def test_key_order_falls_back_to_argsort_on_tied_high_parts():
+    """Five items keep 3 low bits for the index. Row 0 ties items 0 and 1
+    above those bits with their full keys in the opposite order, row 1
+    ties items 2 and 4 in index order, row 2 has no tie."""
+    keys = np.array([[0x1E, 0x19, 0x20, 0x0F, 0x10],
+                     [0x41, 0x05, 0x2A, 0x33, 0x2F],
+                     [2**64 - 1, 0x10, 2**63, 0x08, 0x31]], dtype=np.uint64)
+    high_then_index = np.argsort(keys >> np.uint64(3), axis=1, kind="stable")
+    assert not np.array_equal(high_then_index[0], np.argsort(keys[0]))
+    order = _key_order(keys, np.empty_like(keys), np.empty_like(keys))
+    assert np.array_equal(order, np.argsort(keys, axis=1))
+
+
+@pytest.mark.parametrize("n_scored", [99, 9001])
+def test_replicate_rhos_do_not_depend_on_the_block(n_scored, monkeypatch):
+    """Odd row lengths, one of them past numpy's 8192-element buffer."""
+    rng = np.random.default_rng(n_scored)
+    vals = rng.normal(size=n_scored)
+    pairs = np.unique(rng.integers(0, n_scored, size=(6 * n_scored, 2)), axis=0)
+    src, tgt = pairs[pairs[:, 0] != pairs[:, 1]].T
+    n_perm = 70
+    whole = _replicate_rhos(vals, src, tgt, 5, 0, n_perm)
+    for k in (0, 33, n_perm - 1):
+        alone = _replicate_rhos(vals, src, tgt, 5, k, k + 1)
+        assert alone.tobytes() == whole[k:k + 1].tobytes()
+    for rows in (1, 3, 4, 64):
+        monkeypatch.setattr(polarization, "_BLOCK_BYTES", 8 * n_scored * rows)
+        got = _replicate_rhos(vals, src, tgt, 5, 0, n_perm)
+        assert got.tobytes() == whole.tobytes(), rows
+
+
+def test_permutation_null_logs_each_block(caplog, monkeypatch):
+    g, s = two_dyads((-1.0, -1.0, 1.0, 1.0))
+    vals, _, _ = _dyad_positions(g, s)
+    monkeypatch.setattr(polarization, "_BLOCK_BYTES", 8 * vals.size * 100)
+    with caplog.at_level(logging.DEBUG, logger="rtpol.polarization"):
+        res = permutation_test(g, s, n_perm=950, seed=7)
+    records = [r for r in caplog.records if r.name == "rtpol.polarization"]
+    assert [r.args["done"] for r in records] == [*range(100, 950, 100), 950]
+    assert all(r.args["total"] == 950 for r in records)
+    skipped = [r.args["skipped"] for r in records]
+    assert skipped == sorted(skipped) and skipped[-1] == res.n_skipped > 0
 
 
 @pytest.mark.parametrize("master, indices", [

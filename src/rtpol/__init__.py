@@ -25,7 +25,7 @@ from .polarization import (AssortativityReport, MixingMatrix,
                            PermutationResult, assortativity_r,
                            assortativity_report, classes_from_scores,
                            dyad_correlation, mixing_matrix, permutation_test)
-from .text import (ChiSquareTable, CorpusScan, TweetRecord, UniqueStats,
+from .text import (ChiSquareRow, CorpusScan, TweetRecord, UniqueStats,
                    WordCountTable, chi_square, hashtag_top_per_community,
                    keyword_subset, remove_stopwords, scan_corpus, tokenize,
                    unique_fraction, word_counts_by_class)

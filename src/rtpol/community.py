@@ -32,8 +32,12 @@ and the relabelling. Each objective is a level class with four members:
 
 `comm` is a list and the kernels read level arrays through memoryviews,
 whose items are plain ints and floats: boxing a numpy scalar per access
-would cost more than the arithmetic. Each level logs its size, node
-visits, moves and module count at DEBUG on the `rtpol.community` logger.
+would cost more than the arithmetic. For the same reason the Infomap
+kernel keeps its module state in flat per-module lists (exit flow,
+dangling rate, size, visit mass, exit rate and cached code-length term)
+that end with one empty module: a node opens a new module by taking it,
+which appends the next empty one. Each level logs its size, node visits,
+moves and module count at DEBUG on the `rtpol.community` logger.
 """
 
 from __future__ import annotations
@@ -371,7 +375,9 @@ class _FlowLevel:
 
     Each supernode carries its visit mass, its unrecorded dangling rate,
     and the number of original nodes it stands for; link flows between
-    supernodes are held in CSR/CSC form with self-flows split out.
+    supernodes are held in CSR/CSC form with self-flows split out. The
+    mover keeps its module state in flat per-module lists that always end
+    with one empty module, the one a node opens to leave its module alone.
     """
 
     def __init__(self, n_orig: int, p: np.ndarray, umass: np.ndarray,
@@ -383,8 +389,8 @@ class _FlowLevel:
         self.umass = umass
         self.sizes = sizes
         off = from_idx != to_idx
-        self.self_flow = np.zeros(self.n)
-        np.add.at(self.self_flow, from_idx[~off], flow[~off])
+        self.self_flow = np.bincount(from_idx[~off], weights=flow[~off],
+                                     minlength=self.n)
         mat = sparse.csr_matrix((flow[off], (from_idx[off], to_idx[off])),
                                 shape=(self.n, self.n))
         mat.sum_duplicates()
@@ -398,21 +404,18 @@ class _FlowLevel:
                                                       self.umass, self.sizes))
         out_ptr, out_idx, out_dat = _csr_views(self.out_mat)
         in_ptr, in_idx, in_dat = _csr_views(self.in_mat)
-
-        def q_of(ql: float, um: float, sz: float) -> float:
-            return ql + um * (n_orig - sz) / n_orig
-
-        def term(qm: float, pm: float) -> float:
-            return -2.0 * _plogp(qm) + _plogp(qm + pm)
-
-        # per module: [link exit flow, dangling rate, size, visit mass]
-        acc = {c: [out_total[c], umass[c], sizes[c], p[c]] for c in range(self.n)}
-        q_m = {c: q_of(*acc[c][:3]) for c in acc}
-        q_total = float(sum(q_m.values()))
-        next_id = self.n
+        # per module: link exit flow, dangling rate, size, visit mass, exit
+        # rate q_m and code-length term -2 plogp(q_m) + plogp(q_m + p_m)
+        ql, um, sz, pm = (a.tolist() + [0.0] for a in (self.out_total, self.umass,
+                                                        self.sizes, self.p))
+        qm = [ql[c] + um[c] * (n_orig - sz[c]) / n_orig for c in range(self.n)]
+        q_total = float(sum(qm))
+        qm.append(0.0)
+        tm = [-2.0 * _plogp(q) + _plogp(q + m) for q, m in zip(qm, pm)]
+        state = (ql, um, sz, pm, qm, tm)
 
         def move(v: int) -> bool:
-            nonlocal q_total, next_id
+            nonlocal q_total
             cv = comm[v]
             # link flow between v and each neighbouring module
             to_mod: dict[int, float] = {}
@@ -428,56 +431,48 @@ class _FlowLevel:
             u_v = umass[v]
             sz_v = sizes[v]
 
-            ql_a, um_a, sz_a, pm_a = acc[cv]
-            q_a = q_m[cv]
             # state of the current module once v is taken out
-            ql_a2 = ql_a - (out_v - to_mod.get(cv, 0.0)) + from_mod.get(cv, 0.0)
-            um_a2 = um_a - u_v
-            sz_a2 = sz_a - sz_v
-            pm_a2 = pm_a - p_v
-            lone = sz_a2 <= 0.5  # v was alone; leaving changes nothing
-            q_a2 = 0.0 if lone else q_of(ql_a2, um_a2, sz_a2)
-            removal_term = (0.0 if lone else term(q_a2, pm_a2)) - term(q_a, pm_a)
+            q_a = qm[cv]
+            ql_a2 = ql[cv] - (out_v - to_mod.get(cv, 0.0)) + from_mod.get(cv, 0.0)
+            um_a2 = um[cv] - u_v
+            sz_a2 = sz[cv] - sz_v
+            pm_a2 = pm[cv] - p_v
+            q_a2 = t_a2 = 0.0
+            candidates = sorted(set(to_mod) | set(from_mod), key=key)
+            if sz_a2 > 0.5:
+                # v is not alone: the trailing empty module is tried last
+                q_a2 = ql_a2 + um_a2 * (n_orig - sz_a2) / n_orig
+                t_a2 = -2.0 * _plogp(q_a2) + _plogp(q_a2 + pm_a2)
+                candidates.append(len(sz) - 1)
+            removal_term = t_a2 - tm[cv]
+            q_rest = q_total - q_a
+            plogp_total = _plogp(q_total)
 
-            # -1 stands for a new module of v alone; it is tried last
-            candidates = sorted(set(to_mod) | set(from_mod), key=key) + [-1]
-            best_c = cv
+            best = None
             best_delta = 0.0
             for c in candidates:
                 if c == cv:
                     continue
-                if c == -1:
-                    if lone:
-                        continue
-                    ql_b, um_b, sz_b, pm_b = 0.0, 0.0, 0.0, 0.0
-                    q_b = 0.0
-                else:
-                    ql_b, um_b, sz_b, pm_b = acc[c]
-                    q_b = q_m[c]
-                ql_b2 = ql_b + (out_v - to_mod.get(c, 0.0)) - from_mod.get(c, 0.0)
-                q_b2 = q_of(ql_b2, um_b + u_v, sz_b + sz_v)
-                q_tot2 = q_total - q_a - q_b + q_a2 + q_b2
-                delta = (_plogp(q_tot2) - _plogp(q_total) + removal_term
-                         + term(q_b2, pm_b + p_v) - term(q_b, pm_b))
+                ql_b2 = ql[c] + (out_v - to_mod.get(c, 0.0)) - from_mod.get(c, 0.0)
+                q_b2 = ql_b2 + (um[c] + u_v) * (n_orig - (sz[c] + sz_v)) / n_orig
+                q_tot2 = q_rest - qm[c] + q_a2 + q_b2
+                t_b2 = -2.0 * _plogp(q_b2) + _plogp(q_b2 + (pm[c] + p_v))
+                delta = _plogp(q_tot2) - plogp_total + removal_term + t_b2 - tm[c]
                 if delta < best_delta - GAIN_EPS:
                     best_delta = delta
-                    best_c = c
-            if best_c == cv:
+                    best = (c, ql_b2, q_b2, t_b2)
+            if best is None:
                 return False
-            if best_c == -1:
-                best_c = next_id
-                next_id += 1
-                acc[best_c] = [0.0, 0.0, 0.0, 0.0]
-                q_m[best_c] = 0.0
-            ql_b, um_b, sz_b, pm_b = acc[best_c]
-            ql_b2 = ql_b + (out_v - to_mod.get(best_c, 0.0)) - from_mod.get(best_c, 0.0)
-            q_b2 = q_of(ql_b2, um_b + u_v, sz_b + sz_v)
-            q_total += -q_a - q_m[best_c] + q_a2 + q_b2
-            acc[cv] = [ql_a2, um_a2, sz_a2, pm_a2]
-            q_m[cv] = q_a2
-            acc[best_c] = [ql_b2, um_b + u_v, sz_b + sz_v, pm_b + p_v]
-            q_m[best_c] = q_b2
-            comm[v] = best_c
+            c, ql_b2, q_b2, t_b2 = best
+            q_total += -q_a - qm[c] + q_a2 + q_b2
+            ql[cv], um[cv], sz[cv], pm[cv], qm[cv], tm[cv] = (
+                ql_a2, um_a2, sz_a2, pm_a2, q_a2, t_a2)
+            ql[c], um[c], sz[c], pm[c], qm[c], tm[c] = (
+                ql_b2, um[c] + u_v, sz[c] + sz_v, pm[c] + p_v, q_b2, t_b2)
+            if c == len(sz) - 1:
+                for col in state:
+                    col.append(0.0)
+            comm[v] = c
             return True
 
         return move

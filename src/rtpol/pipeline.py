@@ -252,10 +252,9 @@ def write_text(path_of: Callable[[str], Path], corpus: list[TweetRecord],
     unique.json plus the `meta` keys, each at `path_of(file name)`."""
     scan = scan_corpus(corpus, scores.classes, community_of, keywords)
     table = word_counts_by_class(scan)
-    chi = chi_square(table)
     write_csv(path_of("word_counts.csv"),
               ("token", "left_count", "right_count", "chi2"),
-              ((r.token, r.f_left, r.f_right, r.chi2) for r in chi.rows),
+              ((r.token, r.f_left, r.f_right, r.chi2) for r in chi_square(table)),
               f"{prov} excluded_tweets={table.n_excluded_tweets}".lstrip())
     if community_of is not None:
         tags = hashtag_top_per_community(scan)

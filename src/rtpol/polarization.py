@@ -215,9 +215,11 @@ def _replicate_rhos(vals: np.ndarray, src: np.ndarray, tgt: np.ndarray,
         ok = (sxx > tiny) & (syy > tiny)
         np.divide(sxy, np.sqrt(sxx * syy), out=rhos[a - lo:a - lo + b], where=ok)
         skipped += b - int(np.count_nonzero(ok))
-        _log.debug("permutation null: %(done)d of %(total)d replicates,"
-                   " %(skipped)d skipped", {"done": a + b - lo,
-                                            "total": hi - lo, "skipped": skipped})
+        done = a + b - lo
+        if 10 * done // (hi - lo) > 10 * (done - b) // (hi - lo):
+            _log.debug("permutation null: %(done)d of %(total)d replicates,"
+                       " %(skipped)d skipped", {"done": done,
+                                                "total": hi - lo, "skipped": skipped})
     return rhos
 
 
@@ -251,8 +253,9 @@ def permutation_test(g: RetweetGraph, node_scores: np.ndarray,
     it in a per-core L2 cache. A replicate's permutation is the argsort of
     its keys, found by one in-place sort of words that pack each key's
     high bits above the item index, with a full argsort for the rare row
-    whose high parts tie (`_key_order`). One DEBUG record per block on the
-    `rtpol.polarization` logger gives the replicates done and skipped.
+    whose high parts tie (`_key_order`). DEBUG records on the
+    `rtpol.polarization` logger give the replicates done and skipped, one
+    for each block that completes another tenth of the replicates.
     """
     if n_perm < 2:
         raise InputError(f"need at least 2 permutation replicates, got {n_perm}")

@@ -55,11 +55,6 @@ class ChiSquareRow:
 
 
 @dataclass(frozen=True, eq=False)
-class ChiSquareTable:
-    rows: list[ChiSquareRow]
-
-
-@dataclass(frozen=True, eq=False)
 class CorpusScan:
     """What `scan_corpus` collects in its one pass over a corpus."""
     sides: dict[str, Counter]  # "left", "right" -> token counts
@@ -135,7 +130,7 @@ def keyword_subset(scan: CorpusScan, keyword: str) -> list[TweetRecord]:
     return scan.by_keyword[keyword]
 
 
-def chi_square(table: WordCountTable) -> ChiSquareTable:
+def chi_square(table: WordCountTable) -> list[ChiSquareRow]:
     """Rank tokens by how sharply they separate the two sides.
 
     Tokens whose denominator vanishes (a side with no other tokens) are
@@ -155,7 +150,7 @@ def chi_square(table: WordCountTable) -> ChiSquareTable:
         rows.append(ChiSquareRow(token=token, chi2=num / denom,
                                  f_left=f_l, f_right=f_r))
     rows.sort(key=lambda r: (-r.chi2, r.token))
-    return ChiSquareTable(rows=rows)
+    return rows
 
 
 def hashtag_top_per_community(scan: CorpusScan) -> dict[int, tuple[str, int]]:

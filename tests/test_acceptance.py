@@ -271,13 +271,13 @@ def test_c10_chi_square_fixtures_and_symmetry():
                           right=Counter({"w": 20, "z": 180}),
                           total_left=100, total_right=200,
                           n_excluded_tweets=0)
-    prop_ok = all(r.chi2 == 0.0 for r in chi_square(prop).rows)
+    prop_ok = all(r.chi2 == 0.0 for r in chi_square(prop))
 
     lone = WordCountTable(left=Counter({"topic": 10, "filler": 90}),
                           right=Counter({"filler": 100}),
                           total_left=100, total_right=100,
                           n_excluded_tweets=0)
-    got = {r.token: r.chi2 for r in chi_square(lone).rows}["topic"]
+    got = {r.token: r.chi2 for r in chi_square(lone)}["topic"]
     lone_gap = abs(got - 0.05263)
 
     spec = SyntheticSpec(n_left=150, n_right=150, p_in=0.05, p_out=0.005,
@@ -295,8 +295,8 @@ def test_c10_chi_square_fixtures_and_symmetry():
                              total_left=table.total_right,
                              total_right=table.total_left,
                              n_excluded_tweets=0)
-    x1 = {r.token: r.chi2 for r in chi_square(table).rows}
-    x2 = {r.token: r.chi2 for r in chi_square(swapped).rows}
+    x1 = {r.token: r.chi2 for r in chi_square(table)}
+    x2 = {r.token: r.chi2 for r in chi_square(swapped)}
     sym_ok = (len(corpus) == 1000 and set(x1) == set(x2) and len(x1) > 10
               and all(x1[t] == x2[t] for t in x1))
     elapsed = time.perf_counter() - t0

@@ -280,6 +280,20 @@ def test_permutation_null_logs_each_block(caplog, monkeypatch):
     assert skipped == sorted(skipped) and skipped[-1] == res.n_skipped > 0
 
 
+def test_permutation_null_logs_at_most_ten_records(caplog, monkeypatch):
+    """One-replicate blocks, as at n_scored above 32,768, log once per
+    tenth of the replicates, not once per block."""
+    g, s = two_dyads((-1.0, -1.0, 1.0, 1.0))
+    monkeypatch.setattr(polarization, "_BLOCK_BYTES", 1)
+    with caplog.at_level(logging.DEBUG, logger="rtpol.polarization"):
+        res = permutation_test(g, s, n_perm=237, seed=7)
+    records = [r for r in caplog.records if r.name == "rtpol.polarization"]
+    assert 0 < len(records) <= 10
+    done = [r.args["done"] for r in records]
+    assert done == sorted(done) and done[-1] == 237
+    assert records[-1].args["skipped"] == res.n_skipped
+
+
 @pytest.mark.parametrize("master, indices", [
     (0, ()), (0, (20,)), (0, (21, 3)), (2**64 - 1, (2**63,)), (-1, (-5, 7)),
     (2**70 + 9, (2**65, 0, 1))])

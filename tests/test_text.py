@@ -157,7 +157,7 @@ def test_chi_square_proportional_usage_is_zero():
                            right=Counter({"w": 20, "z": 180}),
                            total_left=100, total_right=200,
                            n_excluded_tweets=0)
-    rows = {r.token: r.chi2 for r in chi_square(table).rows}
+    rows = {r.token: r.chi2 for r in chi_square(table)}
     assert rows["w"] == 0.0
     assert rows["z"] == 0.0
 
@@ -168,12 +168,12 @@ def test_chi_square_one_sided_fixture():
                            total_left=100, total_right=100,
                            n_excluded_tweets=0)
     result = chi_square(table)
-    rows = {r.token: r for r in result.rows}
+    rows = {r.token: r for r in result}
     assert rows["topic"].chi2 == pytest.approx(CHI_ONE_SIDED, abs=1e-12)
     assert rows["topic"].chi2 == pytest.approx(0.05263, abs=1e-5)
     assert (rows["topic"].f_left, rows["topic"].f_right) == (10, 0)
     # ties sort lexicographically
-    assert [r.token for r in result.rows] == ["filler", "topic"]
+    assert [r.token for r in result] == ["filler", "topic"]
 
 
 def test_chi_square_label_swap_symmetry():
@@ -185,8 +185,8 @@ def test_chi_square_label_swap_symmetry():
                              total_left=table.total_right,
                              total_right=table.total_left,
                              n_excluded_tweets=0)
-    x1 = {r.token: r.chi2 for r in chi_square(table).rows}
-    x2 = {r.token: r.chi2 for r in chi_square(swapped).rows}
+    x1 = {r.token: r.chi2 for r in chi_square(table)}
+    x2 = {r.token: r.chi2 for r in chi_square(swapped)}
     assert x1 == x2
 
 
@@ -195,7 +195,7 @@ def test_chi_square_degenerate_tokens_skipped():
     table = WordCountTable(left=Counter({"w": 3}), right=Counter({"w": 2}),
                            total_left=3, total_right=2, n_excluded_tweets=0)
     result = chi_square(table)
-    assert result.rows == []
+    assert result == []
 
 
 @given(st.dictionaries(st.sampled_from("abcdef"),
@@ -214,8 +214,8 @@ def test_chi_square_symmetric_and_nonnegative(left_raw, right_raw):
                              total_left=sum(right.values()),
                              total_right=sum(left.values()),
                              n_excluded_tweets=0)
-    x1 = {r.token: r.chi2 for r in chi_square(table).rows}
-    x2 = {r.token: r.chi2 for r in chi_square(swapped).rows}
+    x1 = {r.token: r.chi2 for r in chi_square(table)}
+    x2 = {r.token: r.chi2 for r in chi_square(swapped)}
     assert set(x1) == set(x2)
     for tok, v in x1.items():
         assert v >= 0.0
@@ -290,7 +290,7 @@ def test_scan_corpus_matches_the_per_statistic_scans(corpus, community_of,
     assert (table.left, table.right) == (want.left, want.right)
     assert (table.total_left, table.total_right, table.n_excluded_tweets) == (
         want.total_left, want.total_right, want.n_excluded_tweets)
-    assert chi_square(table).rows == chi_square(want).rows
+    assert chi_square(table) == chi_square(want)
     if community_of is None:
         assert scan.hashtags is None
     else:

@@ -1,0 +1,92 @@
+"""Scale probe: one `rtpol report` on a 50k-account benchmark graph.
+
+    python3 scripts/scale_probe.py [--n-per-bloc N] [--work DIR]
+
+Run from anywhere. The probe's inputs come from `perfbench/gen.py` (seed 1,
+instance 0) with two blocs of `--n-per-bloc` accounts, 10 expected
+within-bloc and 0.5 cross-bloc retweet partners per account (the default
+25,000 per bloc gives the 50k-account probe). The report runs in a child
+interpreter, `python -m rtpol report`, with gammas 1.0,5.0, n_perm 2000
+and the keyword #Charlottesville. The script prints each stage's seconds
+from the report's manifest, the report's wall time and its peak RSS.
+
+The peak RSS is the report child's own `ru_maxrss`, from `os.wait4`.
+Linux carries a process's resident high-water mark through `exec`, so a
+child starts from the peak of the process that spawned it; the inputs are
+therefore generated in a separate worker process (the generator peaks near
+340 MB at the default size), which keeps this script small when it starts
+the report, and `getrusage(RUSAGE_CHILDREN)` would mix in that worker.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import multiprocessing
+import os
+import subprocess
+import sys
+import tempfile
+import time
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from gen import GraphSpec, generate  # noqa: E402
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--n-per-bloc", type=int, default=25_000,
+                        help="accounts per bloc (default 25000)")
+    parser.add_argument("--work", type=Path,
+                        help="directory for inputs and report (default: a "
+                             "temporary directory, removed afterwards)")
+    args = parser.parse_args(argv)
+    if args.n_per_bloc < 1:
+        parser.error("--n-per-bloc must be at least 1")
+    if args.work is None:
+        with tempfile.TemporaryDirectory(prefix="rtpol-probe-") as tmp:
+            return probe(args.n_per_bloc, Path(tmp))
+    return probe(args.n_per_bloc, args.work)
+
+
+def probe(n_per_bloc: int, work: Path) -> int:
+    spec = GraphSpec(n_per_bloc=n_per_bloc, p_in=10 / n_per_bloc,
+                     p_out=0.5 / n_per_bloc)
+    start = time.perf_counter()
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(1, mp_context=spawn) as pool:
+        src = pool.submit(generate, spec, 1, 0, work / "inputs").result()
+    print(f"inputs: {2 * n_per_bloc} accounts, {src.n_edge_lines} edge lines, "
+          f"{src.n_retweets} retweets ({time.perf_counter() - start:.1f} s)")
+    cfg = work / "probe.cfg"
+    cfg.write_text(f"edges = {src.edges}\nfollowership = {src.followership}\n"
+                   f"tweets = {src.tweets}\nout_dir = {work / 'out'}\n"
+                   "gammas = 1.0,5.0\nn_perm = 2000\nseed = 0\n"
+                   "keywords = #Charlottesville\n", encoding="utf-8")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    start = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-m", "rtpol", "report",
+                             "--config", str(cfg)], env=env,
+                            stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    wall = time.perf_counter() - start
+    if proc.returncode != 0:
+        print(f"report failed with exit code {proc.returncode}", file=sys.stderr)
+        return 1
+    manifest = json.loads((work / "out" / "manifest.json").read_text("utf-8"))
+    for stage in manifest["stages"]:
+        print(f"{stage['name']:<14}{stage['seconds']:9.2f} s")
+    print(f"{'report wall':<14}{wall:9.2f} s")
+    print(f"{'peak RSS':<14}{usage.ru_maxrss / 1024.0:9.1f} MB")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

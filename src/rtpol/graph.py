@@ -19,7 +19,7 @@ from scipy import sparse
 from .errors import InputError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeRecord:
     """One retweet relation: `source` retweeted `target` `count` times."""
 
@@ -84,38 +84,34 @@ def build_graph(records: Iterable[EdgeRecord],
     source within a record). `nodes` pre-seeds ids, which permits isolated
     nodes and fixes their indices ahead of the record scan.
     """
-    ids: list[str] = []
     index_of: dict[str, int] = {}
-
-    def intern(ext: str, where: str) -> int:
+    for ext in nodes if nodes is not None else ():
         if not ext:
-            raise InputError(f"empty {where} id")
-        ix = index_of.get(ext)
-        if ix is None:
-            ix = len(ids)
-            index_of[ext] = ix
-            ids.append(ext)
-        return ix
-
-    if nodes is not None:
-        for ext in nodes:
-            intern(ext, "node")
-
-    agg: dict[tuple[int, int], int] = {}
+            raise InputError("empty node id")
+        index_of.setdefault(ext, len(index_of))
+    targets: list[int] = []  # one entry per record, aggregated below
+    sources: list[int] = []
+    counts: list[int] = []
     for k, rec in enumerate(records):
         if rec.count < 1:
             raise InputError(f"record {k}: retweet count must be >= 1, got {rec.count}")
-        t = intern(rec.target, "target")
-        s = intern(rec.source, "source")
-        key = (t, s)
-        agg[key] = agg.get(key, 0) + rec.count
-    if sum(agg.values()) > 2**53:
+        if not (rec.target and rec.source):
+            raise InputError(f"empty {'source' if rec.target else 'target'} id")
+        targets.append(index_of.setdefault(rec.target, len(index_of)))
+        sources.append(index_of.setdefault(rec.source, len(index_of)))
+        counts.append(rec.count)
+    if sum(counts) > 2**53:
         # strengths are summed in float64, which holds integers exactly to 2**53
         raise InputError("total retweet count exceeds 2**53")
 
-    pairs = np.array(list(agg), dtype=np.int64).reshape(-1, 2)
-    counts = np.array(list(agg.values()), dtype=np.int64)
-    return RetweetGraph(ids, pairs[:, 0], pairs[:, 1], counts)
+    n = len(index_of)
+    keys, pair_of = np.unique(np.array(targets, dtype=np.int64) * n
+                              + np.array(sources, dtype=np.int64),
+                              return_inverse=True)
+    summed = np.zeros(keys.size, dtype=np.int64)
+    np.add.at(summed, pair_of, np.array(counts, dtype=np.int64))
+    t, s = np.divmod(keys, n)
+    return RetweetGraph(list(index_of), t, s, summed)
 
 
 def induced_subgraph(g: RetweetGraph, keep: Sequence[int]) -> RetweetGraph:

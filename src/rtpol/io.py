@@ -67,6 +67,7 @@ def _csv_rows(fh: TextIO, path: Path) -> Iterator[list[str]]:
 def parse_edges(path: str | Path) -> list[EdgeRecord]:
     path = Path(path)
     records = []
+    ids: dict[str, str] = {}  # one string per account id, shared by its lines
     with open_utf8(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
@@ -89,7 +90,8 @@ def parse_edges(path: str | Path) -> list[EdgeRecord]:
             if count < 1:
                 raise InputError(f"count must be >= 1, got {count}",
                                  path=path, line=lineno)
-            records.append(EdgeRecord(target=target, source=source, count=count))
+            records.append(EdgeRecord(ids.setdefault(target, target),
+                                      ids.setdefault(source, source), count))
     return records
 
 
@@ -145,6 +147,7 @@ def parse_followership(path: str | Path) -> tuple[FollowershipMatrix, int]:
 def parse_tweets(path: str | Path) -> list[TweetRecord]:
     path = Path(path)
     out = []
+    ids: dict[str, str] = {}  # one string per account id, shared by its lines
     with open_utf8(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -175,8 +178,8 @@ def parse_tweets(path: str | Path) -> list[TweetRecord]:
             except (TypeError, ValueError):
                 raise InputError(f"utc {obj['utc']!r} does not match {UTC_FORMAT}",
                                  path=path, line=lineno) from None
-            out.append(TweetRecord(account=obj["account"], utc=utc,
-                                   text=obj["text"]))
+            out.append(TweetRecord(ids.setdefault(obj["account"], obj["account"]),
+                                   utc, obj["text"]))
     return out
 
 

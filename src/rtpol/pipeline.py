@@ -394,9 +394,9 @@ def run_report(config: PipelineConfig) -> dict:
         for name in ("louvain", "infomap"):
             write_profiles(writer.path(f"profiles_{name}.csv"),
                            state[f"part_{name}"], node_scores, prov)
-        by_indeg = np.argsort(-g.in_strength, kind="stable")[:config.top_k]
         write_modular_degree(writer.path("modular_degree.csv"), g,
-                             state["part_louvain"].assignment, by_indeg, prov)
+                             state["part_louvain"].assignment,
+                             top_k(degree_scores(g, "in"), config.top_k), prov)
 
     def stage_assortativity():
         g = state["g"]

@@ -46,7 +46,7 @@ class WordCountTable:
     n_excluded_tweets: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChiSquareRow:
     token: str
     chi2: float

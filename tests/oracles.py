@@ -317,6 +317,38 @@ def relabel_first_appearance(labels, order) -> tuple[list[int], int]:
     return [remap[int(lab)] for lab in labels], len(remap)
 
 
+def aggregate_edges_dict(records, nodes=None):
+    """(ids, sorted [(target, source, count)]) of edge records, by the
+    tuple-keyed dict that `build_graph` aggregated through before it
+    aggregated arrays. Indices follow first appearance (pre-seeded `nodes`,
+    then target before source per record); errors are the InputErrors
+    `build_graph` raises."""
+    from rtpol.errors import InputError
+
+    ids: list[str] = []
+    index_of: dict[str, int] = {}
+
+    def intern(ext: str, where: str) -> int:
+        if not ext:
+            raise InputError(f"empty {where} id")
+        if ext not in index_of:
+            index_of[ext] = len(ids)
+            ids.append(ext)
+        return index_of[ext]
+
+    for ext in nodes or ():
+        intern(ext, "node")
+    agg: dict[tuple[int, int], int] = {}
+    for k, rec in enumerate(records):
+        if rec.count < 1:
+            raise InputError(f"record {k}: retweet count must be >= 1, got {rec.count}")
+        key = (intern(rec.target, "target"), intern(rec.source, "source"))
+        agg[key] = agg.get(key, 0) + rec.count
+    if sum(agg.values()) > 2**53:
+        raise InputError("total retweet count exceeds 2**53")
+    return ids, sorted((t, s, c) for (t, s), c in agg.items())
+
+
 def random_graph(rng: np.random.Generator, n_max: int = 10,
                  ensure_edge: bool = True) -> RetweetGraph:
     """Small random directed weighted graph for oracle sweeps."""

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles as orc
@@ -216,3 +216,51 @@ def test_build_is_order_independent(raw, rnd):
     for g in (g1, g2):
         pairs = list(zip(g.targets.tolist(), g.sources.tolist()))
         assert pairs == sorted(pairs)
+
+
+@st.composite
+def records_with_one_fault(draw):
+    """Edge records over a few ids, repeated pairs and self-pairs included,
+    optional pre-seeded nodes (some isolated), and at most one fault: a
+    count below 1, a count that takes the total past 2**53, or an empty
+    id in a record or in `nodes`."""
+    ids = st.sampled_from(["a", "b", "c", "dd", "ee"])
+    raw = draw(st.lists(st.tuples(ids, ids, st.integers(1, 9)), max_size=25))
+    nodes = draw(st.none() | st.lists(st.sampled_from(["b", "ee", "x", "yy"]),
+                                      max_size=5))
+    fault = draw(st.sampled_from(["none", "none", "count", "empty", "node"]))
+    if raw and fault in ("count", "empty"):
+        k = draw(st.integers(0, len(raw) - 1))
+        t, s, c = raw[k]
+        if fault == "count":
+            c = draw(st.sampled_from([0, -2, 2**53 - 1, 2**53, 2**53 + 1,
+                                      5 * 10**18, 10**30]))
+        elif draw(st.booleans()):
+            t = ""
+        else:
+            s = ""
+        raw[k] = (t, s, c)
+    if fault == "node":
+        nodes = [*(nodes or []), ""]
+    return [EdgeRecord(t, s, c) for t, s, c in raw], nodes
+
+
+def _outcome(build, records, nodes):
+    try:
+        return build(records, nodes)
+    except InputError as exc:
+        return "InputError", str(exc)
+
+
+@given(records_with_one_fault())
+@example(([EdgeRecord("a", "b", 10**30)], None))
+@example(([EdgeRecord("a", "b", 10**30), EdgeRecord("b", "a", 0)], ["c"]))
+@settings(max_examples=300, deadline=None)
+def test_build_graph_matches_tuple_dict_aggregation(case):
+    records, nodes = case
+    want = _outcome(orc.aggregate_edges_dict, records, nodes)
+    got = _outcome(build_graph, records, nodes)
+    if isinstance(got, RetweetGraph):
+        got = list(got.ids), list(zip(got.targets.tolist(), got.sources.tolist(),
+                                      got.counts.tolist()))
+    assert got == want

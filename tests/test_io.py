@@ -37,6 +37,19 @@ def test_parse_edges(tmp_path):
                               EdgeRecord(target="c", source="d", count=1)]
 
 
+def test_parsers_hold_one_string_per_account(tmp_path):
+    edges = tmp_path / "edges.tsv"
+    edges.write_text("alice\tbob\t2\nbob\talice\ncarol\tbob\nalice\talice\n")
+    tweets = tmp_path / "tweets.jsonl"
+    tweets.write_text("".join(
+        json.dumps({"account": acct, "utc": "2017-08-12T12:00:00Z", "text": "hi"})
+        + "\n" for acct in ("alice", "bob", "alice", "carol", "bob")))
+    for names in ([ext for r in parse_edges(edges) for ext in (r.target, r.source)],
+                  [r.account for r in parse_tweets(tweets)]):
+        first: dict[str, str] = {}
+        assert all(first.setdefault(name, name) is name for name in names)
+
+
 def test_parse_edges_rejects_bad_count(tmp_path):
     p = tmp_path / "edges.tsv"
     p.write_text("a\tb\t1\nc\td\t0\n")

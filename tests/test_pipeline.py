@@ -514,6 +514,26 @@ def test_traced_report_fires_every_benchmark_span(tmp_path):
             if all(s["count"] is None for s in spans if s["name"] == name)] == []
 
 
+@pytest.mark.skipif(not (PERFBENCH / "gen.py").is_file(),
+                    reason="perfbench/ is absent")
+def test_scale_probe_script_runs_at_small_size(tmp_path):
+    script = PERFBENCH.parent / "scripts" / "scale_probe.py"
+    proc = subprocess.run(
+        [sys.executable, "-B", str(script), "--n-per-bloc", "200",
+         "--work", str(tmp_path)], capture_output=True, text=True,
+        env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("inputs: 400 accounts")
+    assert [line.split()[0] for line in lines[1:-2]] == list(STAGES)
+    assert lines[-1].startswith("peak RSS") and lines[-1].endswith(" MB")
+    assert float(lines[-1].split()[-2]) > 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["status"] == "complete"
+    assert manifest["params"]["n_perm"] == 2000
+    assert manifest["params"]["gammas"] == [1.0, 5.0]
+
+
 def test_import_loads_no_scipy_solver_modules():
     # scipy.sparse.csgraph pulls in scipy.linalg and scipy.sparse.linalg,
     # about 10 MB of resident memory and 60 ms per process start

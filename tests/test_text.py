@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import oracles as orc
 import rtpol.text
-from rtpol import MediaScores, TweetRecord, chi_square, hashtag_top_per_community
+from rtpol import ChiSquareRow, EdgeRecord, MediaScores, TweetRecord, chi_square
+from rtpol import hashtag_top_per_community
 from rtpol import keyword_subset, remove_stopwords, tokenize, unique_fraction
 from rtpol import scan_corpus, word_counts_by_class
 from rtpol.errors import InputError
@@ -321,10 +322,13 @@ def test_write_text_tokenizes_each_tweet_once(tmp_path, monkeypatch):
 
 
 def test_tweet_records_have_slots_and_value_semantics():
-    rec = tweet("a", "x")
-    assert not hasattr(rec, "__dict__")
-    assert rec == tweet("a", "x") and hash(rec) == hash(tweet("a", "x"))
-    assert rec != tweet("a", "y")
+    # the per-line and per-token records of ingest and the text stage
+    for make in (lambda x: tweet("a", x), lambda x: EdgeRecord("a", x, 2),
+                 lambda x: ChiSquareRow(x, 0.5, 1, 2)):
+        rec = make("x")
+        assert not hasattr(rec, "__dict__")
+        assert rec == make("x") and hash(rec) == hash(make("x"))
+        assert rec != make("y")
 
 
 # ---------------------------------------------------------------------------

@@ -311,6 +311,8 @@ def pinned_cases():
     rng = np.random.default_rng(2019)
     for i in range(4):
         graphs.append((f"random{i}", orc.random_graph(rng, 14)))
+    spec = SyntheticSpec(seed=0)
+    graphs.append(("bundle", build_graph(planted_edges(spec), nodes=account_ids(spec))))
     for name, g in graphs:
         fixed = [int(v) for v in rng.permutation(g.n)]
         for gamma in (1.0, 5.0):
@@ -330,7 +332,8 @@ def pinned_cases():
 #: first 16 hex digits of sha256 over the comma-joined assignment. Several
 #: cases aggregate and move again at level 1 (e.g. every "groups" case), and
 #: the Infomap "groups" seed=7 case isolates a supernode into a newly minted
-#: module.
+#: module. The "bundle" graph is the default 1,000-account synthetic bundle,
+#: whose Louvain gamma=5 runs move at three levels.
 PINNED = {
     "groups/louvain/gamma=1.0/seed=0": "e4b9ad4c4602e775",
     "groups/louvain/gamma=1.0/seed=7": "e4b9ad4c4602e775",
@@ -377,6 +380,15 @@ PINNED = {
     "random3/infomap/seed=0": "7d9d182766ebc92e",
     "random3/infomap/seed=7": "0409f7102a9b9ba7",
     "random3/infomap/fixed": "7d9d182766ebc92e",
+    "bundle/louvain/gamma=1.0/seed=0": "32ac2bc0335aefa9",
+    "bundle/louvain/gamma=1.0/seed=7": "32ac2bc0335aefa9",
+    "bundle/louvain/gamma=1.0/fixed": "32ac2bc0335aefa9",
+    "bundle/louvain/gamma=5.0/seed=0": "34822ed7a324a1eb",
+    "bundle/louvain/gamma=5.0/seed=7": "6d2063a248e2a0b2",
+    "bundle/louvain/gamma=5.0/fixed": "8bcf34ded0d77386",
+    "bundle/infomap/seed=0": "d1a639b3258605f0",
+    "bundle/infomap/seed=7": "20b82730f4f5e49f",
+    "bundle/infomap/fixed": "afce017ca077d495",
 }
 
 

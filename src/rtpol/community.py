@@ -18,14 +18,17 @@ its best neighbouring module; a node that moves queues its neighbours
 outside its new module, and the level ends when the queue is empty (the
 Leiden "fast local move", Traag et al. 2019). The modules then become the
 supernodes of the next level, until a level moves nothing or merges
-nothing. The driver owns the visit orders, the queue, the tie-break key
-and the relabelling. Each objective is a level class with four members:
+nothing. The driver owns the visit orders, the queue and the relabelling.
+A node starts alone in the module whose id is its position in the seeded
+order, so ids are tie-break ranks that renumbering nodes cannot change;
+ids minted later (n, n+1, ...) rank after them. Each objective is a level
+class with four members:
 
 - `n`, the number of (super)nodes of the level;
-- `mover(comm, key)`, which returns `move(v) -> bool`. A call puts node v
-  in the best of its neighbours' modules, tried in `key` order (a kernel
-  may also open a new module), writes the choice to `comm[v]`, and
-  reports whether v changed module;
+- `mover(comm)`, which returns `move(v) -> bool` from the start labels
+  `comm`, a permutation of range(n). A call moves node v to the best of its
+  neighbours' modules, tried in id order (a kernel may open a new module),
+  writes it to `comm[v]`, and reports whether v changed module;
 - `neighbours()`, (indptr, indices) CSR pairs whose rows list v's neighbours;
 - `aggregate(labels, k)`, which returns the next level, whose k nodes are
   the modules given by `labels`.
@@ -33,11 +36,9 @@ and the relabelling. Each objective is a level class with four members:
 `comm` is a list and the kernels read level arrays through memoryviews,
 whose items are plain ints and floats: boxing a numpy scalar per access
 would cost more than the arithmetic. For the same reason the Infomap
-kernel keeps its module state in flat per-module lists (exit flow,
-dangling rate, size, visit mass, exit rate and cached code-length term)
-that end with one empty module: a node opens a new module by taking it,
-which appends the next empty one. Each level logs its size, node visits,
-moves and module count at DEBUG on the `rtpol.community` logger.
+kernel keeps its module state in flat per-module lists. Each level logs
+its size, node visits, moves and module count at DEBUG on the
+`rtpol.community` logger.
 """
 
 from __future__ import annotations
@@ -191,12 +192,8 @@ def _multilevel(level, seed: int | None, visit_order: Sequence[int] | None,
         n = level.n
         first = (fixed if depth == 0 and fixed is not None else
                  generator(derive_seed(seed or 0, tag, depth, 0)).permutation(n))
-        # tie-break key per module: position of its founding node in the
-        # seeded order, so renumbering nodes cannot change the outcome; ids
-        # minted at or above n rank after all originals in creation order
-        rank = np.argsort(first).tolist()
-        comm = list(range(n))
-        move = level.mover(comm, lambda c: rank[c] if c < n else c)
+        comm = np.argsort(first).tolist()
+        move = level.mover(comm)
         csrs = level.neighbours()
         queue = deque(first.tolist())
         queued = bytearray(b"\x01") * n
@@ -256,11 +253,11 @@ class _ModularityLevel:
         self.win = np.bincount(targets, weights=weights, minlength=n)
         self.wout = np.bincount(sources, weights=weights, minlength=n)
 
-    def mover(self, comm: list[int], key: Callable[[int], int]) -> Callable[[int], bool]:
+    def mover(self, comm: list[int]) -> Callable[[int], bool]:
         indptr, indices, data = _csr_views(self.sym)
         win, wout = memoryview(self.win), memoryview(self.wout)
-        acc_in = memoryview(self.win.copy())
-        acc_out = memoryview(self.wout.copy())
+        acc_in = memoryview(np.bincount(comm, weights=self.win, minlength=self.n))
+        acc_out = memoryview(np.bincount(comm, weights=self.wout, minlength=self.n))
         gamma_w = self.gamma / self.w
 
         def move(v: int) -> bool:
@@ -275,7 +272,7 @@ class _ModularityLevel:
                 kvc[c] = kvc.get(c, 0.0) + data[e]
             best_c = cv
             best_gain = kvc.get(cv, 0.0) - gamma_w * (iv * acc_out[cv] + ov * acc_in[cv])
-            for c in sorted(kvc, key=key):
+            for c in sorted(kvc):
                 if c == cv:
                     continue
                 gain = kvc[c] - gamma_w * (iv * acc_out[c] + ov * acc_in[c])
@@ -376,8 +373,8 @@ class _FlowLevel:
     Each supernode carries its visit mass, its unrecorded dangling rate,
     and the number of original nodes it stands for; link flows between
     supernodes are held in CSR/CSC form with self-flows split out. The
-    mover keeps its module state in flat per-module lists that always end
-    with one empty module, the one a node opens to leave its module alone.
+    mover's per-module lists always end with one empty module: a node opens
+    a new module by taking it, which appends the next empty one.
     """
 
     def __init__(self, n_orig: int, p: np.ndarray, umass: np.ndarray,
@@ -398,7 +395,7 @@ class _FlowLevel:
         self.in_mat = mat.T.tocsr()
         self.out_total = np.asarray(mat.sum(axis=1)).ravel()
 
-    def mover(self, comm: list[int], key: Callable[[int], int]) -> Callable[[int], bool]:
+    def mover(self, comm: list[int]) -> Callable[[int], bool]:
         n_orig = self.n_orig
         out_total, p, umass, sizes = map(memoryview, (self.out_total, self.p,
                                                       self.umass, self.sizes))
@@ -406,10 +403,10 @@ class _FlowLevel:
         in_ptr, in_idx, in_dat = _csr_views(self.in_mat)
         # per module: link exit flow, dangling rate, size, visit mass, exit
         # rate q_m and code-length term -2 plogp(q_m) + plogp(q_m + p_m)
-        ql, um, sz, pm = (a.tolist() + [0.0] for a in (self.out_total, self.umass,
-                                                        self.sizes, self.p))
+        ql, um, sz, pm = (np.bincount(comm, weights=a, minlength=self.n).tolist() + [0.0]
+                          for a in (self.out_total, self.umass, self.sizes, self.p))
         qm = [ql[c] + um[c] * (n_orig - sz[c]) / n_orig for c in range(self.n)]
-        q_total = float(sum(qm))
+        q_total = float(sum(qm[c] for c in comm))  # in node order
         qm.append(0.0)
         tm = [-2.0 * _plogp(q) + _plogp(q + m) for q, m in zip(qm, pm)]
         state = (ql, um, sz, pm, qm, tm)
@@ -438,7 +435,7 @@ class _FlowLevel:
             sz_a2 = sz[cv] - sz_v
             pm_a2 = pm[cv] - p_v
             q_a2 = t_a2 = 0.0
-            candidates = sorted(set(to_mod) | set(from_mod), key=key)
+            candidates = sorted(set(to_mod) | set(from_mod))
             if sz_a2 > 0.5:
                 # v is not alone: the trailing empty module is tried last
                 q_a2 = ql_a2 + um_a2 * (n_orig - sz_a2) / n_orig

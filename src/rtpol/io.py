@@ -4,8 +4,8 @@ Edges are tab-separated `retweeted_id<TAB>retweeter_id<TAB>count` with an
 optional count (default 1) and '#' comment lines. Followership is a CSV
 with an `account_id` header column followed by media labels and 0/1 cells.
 Tweets are JSON lines with `account`, `utc` (YYYY-MM-DDTHH:MM:SSZ) and
-`text`. Inputs are UTF-8; a byte that is not, like any other parse
-error, raises InputError with the file path and one-based line number.
+`text`. Inputs are UTF-8 (a leading BOM is skipped); any parse error, a
+non-UTF-8 byte included, raises InputError with the path and line number.
 """
 
 from __future__ import annotations
@@ -32,13 +32,13 @@ _UTC_RE = re.compile(r"([0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2})Z"
 
 @contextmanager
 def open_utf8(path: Path, newline: str | None = None) -> Iterator[TextIO]:
-    """Open an input file as UTF-8 text.
+    """Open an input file as UTF-8 text, skipping a leading byte-order mark.
 
     A byte sequence that is not UTF-8 raises InputError naming the path
     and the line of the first bad byte, in place of UnicodeDecodeError.
     """
     try:
-        with path.open(encoding="utf-8", newline=newline) as fh:
+        with path.open(encoding="utf-8-sig", newline=newline) as fh:
             yield fh
     except UnicodeDecodeError:
         # The text layer decodes in chunks, so find the line from the bytes;
@@ -231,6 +231,8 @@ def parse_scores_csv(path: str | Path) -> MediaScores:
         except ValueError:
             raise InputError(f"score {text!r} is not a number",
                              path=path, line=lineno) from None
+        if np.isinf(score):
+            raise InputError(f"score {text!r} is infinite", path=path, line=lineno)
         if cls not in ("left", "right", "unclassified"):
             raise InputError(f"unknown class {cls!r}", path=path, line=lineno)
         if cls != sign_class(score):

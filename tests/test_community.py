@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import logging
 import math
 
@@ -437,27 +438,31 @@ def test_multilevel_logs_each_level(caplog):
 @st.composite
 def graphs_and_visits(draw):
     """n, (target, source, count) edges on range(n), self-loops allowed and
-    some nodes isolated or dangling, and a sequence of nodes to move."""
+    some nodes isolated or dangling, a sequence of nodes to move, and a
+    permutation of range(n) to start from."""
     n = draw(st.integers(2, 9))
     node = st.integers(0, n - 1)
     edges = draw(st.lists(st.tuples(node, node, st.integers(1, 4)),
                           min_size=1, max_size=24))
-    return n, edges, draw(st.lists(node, max_size=30))
+    return n, edges, draw(st.lists(node, max_size=30)), draw(st.permutations(range(n)))
 
 
 def test_each_move_improves_the_recomputed_objective():
-    """A level-0 mover driven one node at a time: a move that reports True
-    shortens L (Infomap) or raises Q (Louvain) as recomputed from the
-    labels, and one that reports False changes nothing. This checks the
-    movers' incremental module state against the objectives directly."""
+    """A level-0 mover driven one node at a time, from the labels range(n)
+    and from a permutation of them: a move that reports True shortens L
+    (Infomap) or raises Q (Louvain) as recomputed from the labels, and one
+    that reports False changes nothing. This checks the movers' module
+    state, built from the start labels and updated per move, against the
+    objectives directly."""
     opened = []
 
     @settings(max_examples=150, deadline=None)
     @given(graphs_and_visits())
     # node 5 joins node 0's module, then leaves it for a new one of its own
-    @example((7, [(0, 0, 1), (2, 4, 3), (6, 2, 4), (0, 5, 2)], [5, 2, 2, 5]))
+    @example((7, [(0, 0, 1), (2, 4, 3), (6, 2, 4), (0, 5, 2)], [5, 2, 2, 5],
+              [6, 5, 4, 3, 2, 1, 0]))
     def check(case):
-        n, edges, visits = case
+        n, edges, visits, perm = case
         g = build_graph([EdgeRecord(f"v{t}", f"v{s}", c) for t, s, c in edges],
                         nodes=[f"v{i}" for i in range(n)])
         p, flows, dangling = _build_flows(g, MapEquationParams())
@@ -468,9 +473,9 @@ def test_each_move_improves_the_recomputed_objective():
                               g.counts.astype(np.float64), float(g.w), 1.0),
              lambda comm: modularity(g, Partition.from_labels(comm))),
         )
-        for level, score in levels:
-            comm = list(range(g.n))
-            move = level.mover(comm, lambda c: c)
+        for (level, score), start in itertools.product(levels, (range(n), perm)):
+            comm = list(start)
+            move = level.mover(comm)
             before = score(comm)
             for v in visits:
                 moved = move(v)

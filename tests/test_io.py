@@ -15,7 +15,7 @@ from rtpol.community import Partition
 from rtpol.io import (parse_edges, parse_followership, parse_partition_csv,
                       parse_scores_csv, parse_tweets, write_csv, write_json)
 from rtpol.pca import MediaScores
-from rtpol.pipeline import write_partition, write_scores
+from rtpol.pipeline import load_config, write_partition, write_scores
 from rtpol.rng import derive_seed, generator
 from rtpol.synth import (account_ids, bloc_labels, planted_edges,
                          planted_followership)
@@ -387,6 +387,18 @@ def test_scores_csv_rejects_class_contradicting_score(tmp_path, row):
     assert exc.value.line == 3
 
 
+@pytest.mark.parametrize("row", ["a,inf,right", "a,-inf,left", "a,1e999,right",
+                                 "a,-1E999,left", "a,Infinity,unclassified"])
+def test_scores_csv_rejects_infinite_score(tmp_path, row):
+    """nan is an unscored account; an infinite score is an input error."""
+    p = tmp_path / "scores.csv"
+    p.write_text(f"account_id,score,class\nz,nan,unclassified\n{row}\n")
+    with pytest.raises(InputError, match="is infinite") as exc:
+        parse_scores_csv(p)
+    assert exc.value.path == p
+    assert exc.value.line == 3
+
+
 def test_scores_csv_rejects_file_no_report_writes(tmp_path):
     """A repeated id and classes that contradict their scores, together."""
     p = tmp_path / "scores.csv"
@@ -406,6 +418,24 @@ def test_parsers_reject_non_utf8(tmp_path, parse):
         parse(p)
     assert exc.value.path == p
     assert exc.value.line == 1
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_edges, "a\tb\t2\nb\ta\n"),
+    (parse_followership, "account_id,m1,m2\na,1,0\nb,0,1\n"),
+    (parse_tweets, '{"account": "a", "utc": "2017-08-12T14:00:00Z", "text": "hi"}\n'),
+    (parse_partition_csv, "node_id,community\na,0\nb,1\n"),
+    (parse_scores_csv, "account_id,score,class\na,0.5,right\nb,-1.0,left\n"),
+    (load_config, "edges = e.tsv\nfollowership = f.csv\ntweets = t.jsonl\n"
+                  "out_dir = out\n"),
+], ids=["edges", "followership", "tweets", "partition", "scores", "config"])
+def test_parsers_skip_a_utf8_bom(tmp_path, parse, text):
+    """A file that starts with a byte-order mark parses like one without."""
+    plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
+    plain.write_text(text, encoding="utf-8")
+    bom.write_text("\ufeff" + text, encoding="utf-8")
+    # compared by repr: FollowershipMatrix and MediaScores define no ==
+    assert repr(parse(bom)) == repr(parse(plain))
 
 
 def test_non_utf8_line_is_exact_past_the_first_chunk(tmp_path):

@@ -1,11 +1,11 @@
 """Readers and writers for the on-disk formats.
 
-Edges are tab-separated `retweeted_id<TAB>retweeter_id<TAB>count` with an
-optional count (default 1) and '#' comment lines. Followership is a CSV
-with an `account_id` header column followed by media labels and 0/1 cells.
-Tweets are JSON lines with `account`, `utc` (YYYY-MM-DDTHH:MM:SSZ) and
-`text`. Inputs are UTF-8 (a leading BOM is skipped); any parse error, a
-non-UTF-8 byte included, raises InputError with the path and line number.
+Edges are tab-separated `retweeted_id<TAB>retweeter_id<TAB>count` lines,
+count optional (default 1), and '#' comments. Followership is a CSV with an
+`account_id` header column, then media labels, and 0/1 cells. Tweets are JSON
+lines with `account`, `utc` (YYYY-MM-DDTHH:MM:SSZ) and `text`; their records
+share one string per account id and per text. Inputs are UTF-8 (BOM skipped);
+any parse error, bad bytes included, raises InputError with path and line.
 """
 
 from __future__ import annotations
@@ -147,7 +147,7 @@ def parse_followership(path: str | Path) -> tuple[FollowershipMatrix, int]:
 def parse_tweets(path: str | Path) -> list[TweetRecord]:
     path = Path(path)
     out = []
-    ids: dict[str, str] = {}  # one string per account id, shared by its lines
+    held: dict[str, str] = {}  # one string per account id and per text
     with open_utf8(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -173,13 +173,13 @@ def parse_tweets(path: str | Path) -> list[TweetRecord]:
                                      path=path, line=lineno)
                 if not obj[field]:
                     raise InputError(f"empty {what}", path=path, line=lineno)
+                obj[field] = held.setdefault(obj[field], obj[field])
             try:  # TypeError: not a string, or not in the UTC_FORMAT form
                 utc = datetime.fromisoformat(_UTC_RE.fullmatch(obj["utc"])[1])
             except (TypeError, ValueError):
                 raise InputError(f"utc {obj['utc']!r} does not match {UTC_FORMAT}",
                                  path=path, line=lineno) from None
-            out.append(TweetRecord(ids.setdefault(obj["account"], obj["account"]),
-                                   utc, obj["text"]))
+            out.append(TweetRecord(obj["account"], utc, obj["text"]))
     return out
 
 

@@ -14,6 +14,7 @@ fnotL, fnotR count the remaining tokens of each side.
 
 from __future__ import annotations
 
+import logging
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -28,6 +29,7 @@ _TOKEN_RE = re.compile(r"[#@]?\w+(?:'\w+)*")
 #: hashtags whose lowercase form contains this are the collection's own tag
 COLLECTION_TAG = "charlottesville"
 _STOPWORDS = ENGLISH_STOPWORDS | DEFAULT_EXTRA_STOPWORDS
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,7 +58,7 @@ class ChiSquareRow:
 
 @dataclass(frozen=True, eq=False)
 class CorpusScan:
-    """What `scan_corpus` collects in its one pass over a corpus."""
+    """What `scan_corpus` collects from a corpus."""
     sides: dict[str, Counter]  # "left", "right" -> token counts
     n_excluded_tweets: int
     hashtags: dict[int, Counter] | None
@@ -85,16 +87,25 @@ def remove_stopwords(tokens: Iterable[str]) -> list[str]:
 def scan_corpus(corpus: Sequence[TweetRecord], classes: Mapping[str, str],
                 community_of: Mapping[str, int] | None,
                 keywords: Iterable[str]) -> CorpusScan:
-    """Tokenize each tweet once; its tokens feed the stop-word-free word
-    counts of its side, its community's hashtags (only with a `community_of`)
-    and the keywords it contains, and are then dropped. Tweets with no side
-    are counted as excluded, tweets with no community as skipped."""
+    """Tokenize each distinct text once; its tokens feed each of its tweets'
+    side word counts (stop words dropped), community hashtags (only with a
+    `community_of`) and keyword hits. A first pass counts the texts, so a
+    recurring text's tokens are kept only until its last tweet. Tweets with
+    no side are counted as excluded, tweets with no community as skipped."""
     sides = {"left": Counter(), "right": Counter()}
     hashtags = None if community_of is None else defaultdict(Counter)
     by_keyword: dict[str, list[TweetRecord]] = {kw: [] for kw in keywords}
-    excluded = skipped = 0
+    excluded = skipped = tokenized = 0
+    to_come = Counter(rec.text for rec in corpus)  # per text, tweets still to scan
+    memo: dict[str, tuple[str, ...]] = {}  # tokens of texts that recur later
+    shared: dict[str, str] = {}  # one string per token in the memo
     for rec in corpus:
-        tokens = tokenize(rec.text)
+        to_come[rec.text] -= 1
+        tokens = memo.get(rec.text) if to_come[rec.text] else memo.pop(rec.text, None)
+        if tokens is None:
+            tokens, tokenized = tokenize(rec.text), tokenized + 1
+            if to_come[rec.text]:
+                memo[rec.text] = tuple(shared.setdefault(t, t) for t in tokens)
         bag = sides.get(classes.get(rec.account))
         if bag is None:
             excluded += 1
@@ -111,6 +122,8 @@ def scan_corpus(corpus: Sequence[TweetRecord], classes: Mapping[str, str],
         for kw, hits in by_keyword.items():
             if kw in tokens:
                 hits.append(rec)
+    _log.debug("text scan: %d tweets, %d distinct texts, %d tokenized",
+               len(corpus), len(to_come), tokenized)
     return CorpusScan(sides, excluded, hashtags, skipped, by_keyword)
 
 
@@ -125,8 +138,8 @@ def word_counts_by_class(scan: CorpusScan) -> WordCountTable:
 def keyword_subset(scan: CorpusScan, keyword: str) -> list[TweetRecord]:
     """Tweets whose token stream contains the keyword exactly (case
     sensitive); the keyword must be one the scan looked for."""
-    if not keyword:
-        raise InputError("keyword must be nonempty")
+    if not keyword or keyword not in scan.by_keyword:
+        raise InputError(f"keyword {keyword!r} is empty or was not scanned for")
     return scan.by_keyword[keyword]
 
 

@@ -42,10 +42,13 @@ def test_parsers_hold_one_string_per_account(tmp_path):
     edges.write_text("alice\tbob\t2\nbob\talice\ncarol\tbob\nalice\talice\n")
     tweets = tmp_path / "tweets.jsonl"
     tweets.write_text("".join(
-        json.dumps({"account": acct, "utc": "2017-08-12T12:00:00Z", "text": "hi"})
-        + "\n" for acct in ("alice", "bob", "alice", "carol", "bob")))
+        json.dumps({"account": acct, "utc": "2017-08-12T12:00:00Z", "text": text})
+        + "\n" for acct, text in (("alice", "hi"), ("bob", "RT hi"), ("alice", "hi"),
+                                   ("carol", "yo"), ("bob", "hi"))))
+    # equal tweet texts are one string too
+    records = parse_tweets(tweets)
     for names in ([ext for r in parse_edges(edges) for ext in (r.target, r.source)],
-                  [r.account for r in parse_tweets(tweets)]):
+                  [r.account for r in records], [r.text for r in records]):
         first: dict[str, str] = {}
         assert all(first.setdefault(name, name) is name for name in names)
 

@@ -1,3 +1,4 @@
+import logging
 from collections import Counter
 from datetime import datetime
 
@@ -146,6 +147,9 @@ def test_keyword_subset_hashtag_and_absent():
     assert keyword_subset(scan, "zzz") == []
     with pytest.raises(InputError):
         keyword_subset(scan, "")
+    # a keyword the scan did not look for has no subset to give
+    with pytest.raises(InputError, match="'Trump'"):
+        keyword_subset(scan, "Trump")
 
 
 # ---------------------------------------------------------------------------
@@ -271,21 +275,37 @@ CLASSES = {"L1": "left", "L2": "left", "R1": "right", "U1": "unclassified"}
 ACCOUNTS = [*CLASSES, "N1", "ghost"]
 KEYWORDS = ["Trump", "#HoldTheLine", "don't", "#Resist", "#it's", "zzz"]
 
-tweets = st.builds(
-    tweet, st.sampled_from(ACCOUNTS),
-    st.lists(st.tuples(st.sampled_from(FRAGMENTS),
-                       st.sampled_from([" ", "", ",", ". ", "\n"])),
-             max_size=12).map(lambda parts: "".join(f + sep for f, sep in parts)))
+texts = st.lists(st.tuples(st.sampled_from(FRAGMENTS),
+                           st.sampled_from([" ", "", ",", ". ", "\n"])),
+                 max_size=12).map(lambda parts: "".join(f + sep for f, sep in parts))
+tweets = st.builds(tweet, st.sampled_from(ACCOUNTS), texts)
+# texts drawn from a pool of at most four recur across accounts, sides,
+# communities and keyword hits, with other texts between their tweets
+pooled_corpora = st.lists(texts, min_size=1, max_size=4).flatmap(
+    lambda pool: st.lists(st.builds(tweet, st.sampled_from(ACCOUNTS),
+                                    st.sampled_from(pool)), max_size=25))
 
 
-@given(st.lists(tweets, max_size=25),
+class PassCounter(list):
+    """A list that counts the passes made over it."""
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+@given(st.lists(tweets, max_size=25) | pooled_corpora,
        st.none() | st.dictionaries(st.sampled_from(ACCOUNTS[:-1]),
                                    st.integers(0, 2)),
        st.lists(st.sampled_from(KEYWORDS), unique=True, max_size=4))
 @settings(max_examples=300, deadline=None)
 def test_scan_corpus_matches_the_per_statistic_scans(corpus, community_of,
                                                      keywords):
-    scan = scan_corpus(corpus, CLASSES, community_of, keywords)
+    seen = PassCounter(corpus)
+    scan = scan_corpus(seen, CLASSES, community_of, keywords)
+    # one pass counts the texts, one scans, so the corpus must be a Sequence
+    assert seen.passes == 2
     table = word_counts_by_class(scan)
     want = orc.word_counts_multi_scan(corpus, CLASSES)
     assert (table.left, table.right) == (want.left, want.right)
@@ -302,10 +322,29 @@ def test_scan_corpus_matches_the_per_statistic_scans(corpus, community_of,
         assert keyword_subset(scan, kw) == orc.keyword_subset_multi_scan(corpus, kw)
 
 
-def test_write_text_tokenizes_each_tweet_once(tmp_path, monkeypatch):
+def test_scan_corpus_rejects_a_one_shot_iterator():
+    # the counting pass exhausts an iterator, so the scan would read nothing;
+    # taking the corpus's length fails instead of returning an empty scan
+    corpus = [tweet("L1", "Trump"), tweet("R1", "Trump")]
+    with pytest.raises(TypeError):
+        scan_corpus(iter(corpus), CLASSES, None, ("Trump",))
+
+
+def test_scan_corpus_logs_its_texts(caplog):
+    corpus = [tweet(acc, text) for acc, text in [
+        ("L1", "Trump"), ("R1", "vigil"), ("L2", "Trump"), ("U1", "amp")]]
+    with caplog.at_level(logging.DEBUG, logger="rtpol.text"):
+        scan_corpus(corpus, CLASSES, None, ())
+    records = [r for r in caplog.records if r.name == "rtpol.text"]
+    assert [r.args for r in records] == [(4, 3, 3)]
+
+
+def test_write_text_tokenizes_each_distinct_text_once(tmp_path, monkeypatch):
     corpus = [tweet(acc, text) for acc, text in [
         ("L1", "Trump #Resist https://t.co/#Trump"), ("R1", "#HoldTheLine RT"),
-        ("U1", "don't #Charlottesville"), ("ghost", "Trump"), ("L2", "")]]
+        ("U1", "don't #Charlottesville"), ("ghost", "Trump"), ("L2", ""),
+        ("R1", "Trump #Resist https://t.co/#Trump"), ("ghost", "#HoldTheLine RT"),
+        ("L2", "Trump"), ("L1", "#HoldTheLine RT")]]
     calls = []
 
     def counting(text):
@@ -316,7 +355,7 @@ def test_write_text_tokenizes_each_tweet_once(tmp_path, monkeypatch):
     write_text(tmp_path.joinpath, corpus, MediaScores({}, CLASSES),
                {"L1": 0, "L2": 0, "R1": 1, "U1": 1},
                ("Trump", "#HoldTheLine", "don't"), "", {})
-    assert len(calls) == len(corpus)
+    assert sorted(calls) == sorted({rec.text for rec in corpus})
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "hashtags.csv", "unique.json", "word_counts.csv"]
 

@@ -25,10 +25,10 @@ ids minted later (n, n+1, ...) rank after them. Each objective is a level
 class with four members:
 
 - `n`, the number of (super)nodes of the level;
-- `mover(comm)`, which returns `move(v) -> bool` from the start labels
-  `comm`, a permutation of range(n). A call moves node v to the best of its
-  neighbours' modules, tried in id order (a kernel may open a new module),
-  writes it to `comm[v]`, and reports whether v changed module;
+- `mover(comm)`, which returns `move(v) -> bool` from start labels `comm`
+  in range(n), a permutation from `_multilevel`. A call moves node v to the
+  best of its neighbours' modules, tried in id order (a kernel may open a
+  new module), writes it to `comm[v]`, and reports whether v changed module;
 - `neighbours()`, (indptr, indices) CSR pairs whose rows list v's neighbours;
 - `aggregate(labels, k)`, which returns the next level, whose k nodes are
   the modules given by `labels`.
@@ -401,13 +401,15 @@ class _FlowLevel:
                                                       self.umass, self.sizes))
         out_ptr, out_idx, out_dat = _csr_views(self.out_mat)
         in_ptr, in_idx, in_dat = _csr_views(self.in_mat)
-        # per module: link exit flow, dangling rate, size, visit mass, exit
-        # rate q_m and code-length term -2 plogp(q_m) + plogp(q_m + p_m)
+        # per module: link exit flow (out-flow that leaves it), dangling rate,
+        # size, visit mass, exit rate q_m and term -2 plogp(q_m) + plogp(q_m + p_m)
+        labels, coo = np.asarray(comm), self.out_mat.tocoo()
+        leave = self.out_total - np.bincount(
+            coo.row, coo.data * (labels[coo.row] == labels[coo.col]), self.n)
         ql, um, sz, pm = (np.bincount(comm, weights=a, minlength=self.n).tolist() + [0.0]
-                          for a in (self.out_total, self.umass, self.sizes, self.p))
-        qm = [ql[c] + um[c] * (n_orig - sz[c]) / n_orig for c in range(self.n)]
-        q_total = float(sum(qm[c] for c in comm))  # in node order
-        qm.append(0.0)
+                          for a in (leave, self.umass, self.sizes, self.p))
+        qm = [ql[c] + um[c] * (n_orig - sz[c]) / n_orig for c in range(self.n + 1)]
+        q_total = float(sum(qm[c] for c in dict.fromkeys(comm)))  # once per module
         tm = [-2.0 * _plogp(q) + _plogp(q + m) for q, m in zip(qm, pm)]
         state = (ql, um, sz, pm, qm, tm)
 

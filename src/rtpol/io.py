@@ -3,8 +3,8 @@
 Edges are tab-separated `retweeted_id<TAB>retweeter_id<TAB>count` lines,
 count optional (default 1), and '#' comments. Followership is a CSV with an
 `account_id` header column, then media labels, and 0/1 cells. Tweets are JSON
-lines with `account`, `utc` (YYYY-MM-DDTHH:MM:SSZ) and `text`; their records
-share one string per account id and per text. Inputs are UTF-8 (BOM skipped);
+lines with `account`, `utc` (YYYY-MM-DDTHH:MM:SSZ; checked, not kept), `text`;
+records share one string per id and per text. Inputs are UTF-8 (BOM skipped);
 any parse error, bad bytes included, raises InputError with path and line.
 """
 
@@ -175,11 +175,11 @@ def parse_tweets(path: str | Path) -> list[TweetRecord]:
                     raise InputError(f"empty {what}", path=path, line=lineno)
                 obj[field] = held.setdefault(obj[field], obj[field])
             try:  # TypeError: not a string, or not in the UTC_FORMAT form
-                utc = datetime.fromisoformat(_UTC_RE.fullmatch(obj["utc"])[1])
+                datetime.fromisoformat(_UTC_RE.fullmatch(obj["utc"])[1])
             except (TypeError, ValueError):
                 raise InputError(f"utc {obj['utc']!r} does not match {UTC_FORMAT}",
                                  path=path, line=lineno) from None
-            out.append(TweetRecord(obj["account"], utc, obj["text"]))
+            out.append(TweetRecord(obj["account"], obj["text"]))
     return out
 
 

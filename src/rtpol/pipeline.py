@@ -238,11 +238,8 @@ def write_assortativity(path: Path, report: AssortativityReport, seed: int,
                       "dropped_accounts": list(dropped)})
 
 
-def _unique_by_side(records: Sequence[TweetRecord],
-                    classes: Mapping[str, str]) -> dict:
-    return {side: asdict(unique_fraction([r for r in records
-                                          if classes.get(r.account) == side]))
-            for side in ("left", "right")}
+def _unique_by_side(counts: Mapping[str, list[int]]) -> dict:
+    return {side: asdict(unique_fraction(*counts[side])) for side in ("left", "right")}
 
 
 def write_text(path_of: Callable[[str], Path], corpus: list[TweetRecord],
@@ -262,9 +259,8 @@ def write_text(path_of: Callable[[str], Path], corpus: list[TweetRecord],
                   ((c, tag, cnt) for c, (tag, cnt) in sorted(tags.items())),
                   f"{prov} skipped_tweets={scan.n_skipped_tweets}".lstrip())
     write_json(path_of("unique.json"), {
-        "overall": _unique_by_side(corpus, scores.classes),
-        "keywords": {kw: _unique_by_side(keyword_subset(scan, kw),
-                                         scores.classes) for kw in keywords},
+        "overall": _unique_by_side(scan.overall),
+        "keywords": {kw: _unique_by_side(keyword_subset(scan, kw)) for kw in keywords},
         **meta})
 
 

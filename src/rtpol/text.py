@@ -18,8 +18,11 @@ import logging
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from datetime import datetime
+from itertools import groupby
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import InputError
 from .stopwords import DEFAULT_EXTRA_STOPWORDS, ENGLISH_STOPWORDS
@@ -35,7 +38,6 @@ _log = logging.getLogger(__name__)
 @dataclass(frozen=True, slots=True)
 class TweetRecord:
     account: str
-    utc: datetime
     text: str
 
 
@@ -63,7 +65,8 @@ class CorpusScan:
     n_excluded_tweets: int
     hashtags: dict[int, Counter] | None
     n_skipped_tweets: int
-    by_keyword: dict[str, list[TweetRecord]]
+    overall: dict[str, list[int]]  # side -> [tweets, distinct texts]
+    by_keyword: dict[str, dict[str, list[int]]]  # the same per keyword
 
 
 @dataclass(frozen=True)
@@ -87,44 +90,44 @@ def remove_stopwords(tokens: Iterable[str]) -> list[str]:
 def scan_corpus(corpus: Sequence[TweetRecord], classes: Mapping[str, str],
                 community_of: Mapping[str, int] | None,
                 keywords: Iterable[str]) -> CorpusScan:
-    """Tokenize each distinct text once; its tokens feed each of its tweets'
-    side word counts (stop words dropped), community hashtags (only with a
-    `community_of`) and keyword hits. A first pass counts the texts, so a
-    recurring text's tokens are kept only until its last tweet. Tweets with
-    no side are counted as excluded, tweets with no community as skipped."""
+    """Read the corpus in runs of one text, each tokenized once. Each tweet of
+    a run feeds its side's word counts (stop words dropped) and, given a
+    `community_of`, its community's hashtags. Per side, a run adds its tweets
+    and one distinct text to the overall counts and to each keyword among its
+    tokens. Tweets with no side are excluded, with no community skipped."""
     sides = {"left": Counter(), "right": Counter()}
     hashtags = None if community_of is None else defaultdict(Counter)
-    by_keyword: dict[str, list[TweetRecord]] = {kw: [] for kw in keywords}
-    excluded = skipped = tokenized = 0
-    to_come = Counter(rec.text for rec in corpus)  # per text, tweets still to scan
-    memo: dict[str, tuple[str, ...]] = {}  # tokens of texts that recur later
-    shared: dict[str, str] = {}  # one string per token in the memo
-    for rec in corpus:
-        to_come[rec.text] -= 1
-        tokens = memo.get(rec.text) if to_come[rec.text] else memo.pop(rec.text, None)
-        if tokens is None:
-            tokens, tokenized = tokenize(rec.text), tokenized + 1
-            if to_come[rec.text]:
-                memo[rec.text] = tuple(shared.setdefault(t, t) for t in tokens)
-        bag = sides.get(classes.get(rec.account))
-        if bag is None:
-            excluded += 1
-        else:
-            bag.update(remove_stopwords(tokens))
-        if hashtags is not None:
-            comm = community_of.get(rec.account)
-            if comm is None:
-                skipped += 1
-            else:
-                for tok in tokens:
-                    if tok[0] == "#" and COLLECTION_TAG not in tok.lower():
-                        hashtags[int(comm)][tok] += 1
-        for kw, hits in by_keyword.items():
-            if kw in tokens:
-                hits.append(rec)
-    _log.debug("text scan: %d tweets, %d distinct texts, %d tokenized",
-               len(corpus), len(to_come), tokenized)
-    return CorpusScan(sides, excluded, hashtags, skipped, by_keyword)
+    overall = {side: [0, 0] for side in sides}
+    by_keyword = {kw: {side: [0, 0] for side in sides} for kw in keywords}
+    ids: dict[str, int] = {}  # text -> id, in first-appearance order
+    order = np.argsort(np.fromiter((ids.setdefault(rec.text, len(ids)) for rec in corpus),
+                                   dtype=np.int64, count=len(corpus)), kind="stable")
+    _log.debug("text scan: %d tweets, %d distinct texts", len(corpus), len(ids))
+    del ids
+    skipped = 0
+    for text, run in groupby(map(corpus.__getitem__, order), key=attrgetter("text")):
+        tokens = tokenize(text)
+        kept = remove_stopwords(tokens)
+        tags = [t for t in tokens if t[0] == "#" and COLLECTION_TAG not in t.lower()]
+        run_sides = []  # the side of each of the run's tweets that has one
+        for rec in run:
+            side = classes.get(rec.account)
+            if side in sides:
+                run_sides.append(side)
+                sides[side].update(kept)
+            if hashtags is not None:
+                comm = community_of.get(rec.account)
+                if comm is None:
+                    skipped += 1
+                else:
+                    for tag in tags:
+                        hashtags[int(comm)][tag] += 1
+        for counts in (overall, *(by_keyword[kw] for kw in by_keyword.keys() & tokens)):
+            for side in set(run_sides):
+                counts[side][0] += run_sides.count(side)
+                counts[side][1] += 1
+    excluded = len(corpus) - sum(n for n, _ in overall.values())  # with no side
+    return CorpusScan(sides, excluded, hashtags, skipped, overall, by_keyword)
 
 
 def word_counts_by_class(scan: CorpusScan) -> WordCountTable:
@@ -135,9 +138,9 @@ def word_counts_by_class(scan: CorpusScan) -> WordCountTable:
                           n_excluded_tweets=scan.n_excluded_tweets)
 
 
-def keyword_subset(scan: CorpusScan, keyword: str) -> list[TweetRecord]:
-    """Tweets whose token stream contains the keyword exactly (case
-    sensitive); the keyword must be one the scan looked for."""
+def keyword_subset(scan: CorpusScan, keyword: str) -> dict[str, list[int]]:
+    """Per side, [tweets, distinct texts] with the keyword among their tokens
+    (case sensitive); the keyword must be one the scan looked for."""
     if not keyword or keyword not in scan.by_keyword:
         raise InputError(f"keyword {keyword!r} is empty or was not scanned for")
     return scan.by_keyword[keyword]
@@ -179,9 +182,8 @@ def hashtag_top_per_community(scan: CorpusScan) -> dict[int, tuple[str, int]]:
             for comm, bag in scan.hashtags.items()}
 
 
-def unique_fraction(corpus: Sequence[TweetRecord]) -> UniqueStats:
-    """Share of distinct exact tweet texts; empty input has no fraction."""
-    total = len(corpus)
-    unique = len({rec.text for rec in corpus})
+def unique_fraction(total: int, unique: int) -> UniqueStats:
+    """Share of distinct exact texts among `total` tweets with `unique`
+    distinct texts; no tweets give no fraction."""
     return UniqueStats(total=total, unique=unique,
                        fraction=unique / total if total else None)

@@ -412,3 +412,13 @@ def hashtag_top_multi_scan(corpus, community_of) -> tuple[dict, int]:
 def keyword_subset_multi_scan(corpus, keyword: str) -> list:
     """Tweets whose tokens include `keyword` exactly, by one corpus scan."""
     return [rec for rec in corpus if keyword in tokenize(rec.text)]
+
+
+def unique_by_side(corpus, classes) -> dict:
+    """side -> [tweets, distinct texts]: the tweets of each side's accounts
+    are kept by one scan, and their texts put in a set."""
+    out = {}
+    for side in ("left", "right"):
+        texts = [rec.text for rec in corpus if classes.get(rec.account) == side]
+        out[side] = [len(texts), len(set(texts))]
+    return out

@@ -9,7 +9,6 @@ budget on this machine.
 import json
 import math
 import time
-from datetime import datetime
 
 import numpy as np
 
@@ -283,9 +282,7 @@ def test_c10_chi_square_fixtures_and_symmetry():
     spec = SyntheticSpec(n_left=150, n_right=150, p_in=0.05, p_out=0.005,
                          tweets_per_account=2, seed=11)
     rows = planted_tweets(spec, planted_edges(spec))[:1000]
-    corpus = [TweetRecord(account=r["account"],
-                          utc=datetime.strptime(r["utc"], "%Y-%m-%dT%H:%M:%SZ"),
-                          text=r["text"]) for r in rows]
+    corpus = [TweetRecord(account=r["account"], text=r["text"]) for r in rows]
     blocs = bloc_labels(spec)
     scores = MediaScores(
         scores={a: (-1.0 if s == "left" else 1.0) for a, s in blocs.items()},

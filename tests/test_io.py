@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rtpol import EdgeRecord, SyntheticSpec, build_graph, generate_bundle
+from rtpol import (EdgeRecord, SyntheticSpec, TweetRecord, build_graph,
+                   generate_bundle)
 from rtpol.errors import InputError
 from rtpol.community import Partition
 from rtpol.io import (parse_edges, parse_followership, parse_partition_csv,
@@ -119,11 +120,7 @@ def test_parse_followership_rejects_bad_header_and_dupes(tmp_path):
 def test_parse_tweets(tmp_path):
     p = tmp_path / "tweets.jsonl"
     p.write_text('{"account": "u1", "utc": "2017-08-12T15:04:05Z", "text": "hi"}\n')
-    recs = parse_tweets(p)
-    assert len(recs) == 1
-    assert recs[0].account == "u1"
-    assert recs[0].utc == datetime(2017, 8, 12, 15, 4, 5)
-    assert recs[0].text == "hi"
+    assert parse_tweets(p) == [TweetRecord(account="u1", text="hi")]
 
 
 def test_parse_tweets_errors_carry_line(tmp_path):
@@ -148,17 +145,18 @@ def test_parse_tweets_errors_carry_line(tmp_path):
         parse_tweets(p)
 
 
-def _parsed_utc(utc) -> datetime | None:
-    """`utc` as parse_tweets reads it, or None when it is rejected."""
+def _parsed_utc(utc) -> bool:
+    """Whether parse_tweets accepts `utc`; a rejection must name the form."""
     with tempfile.TemporaryDirectory() as tmp:
         p = Path(tmp) / "tweets.jsonl"
         p.write_text(json.dumps({"account": "u", "utc": utc, "text": "hi"})
                      + "\n", encoding="utf-8")
         try:
-            return parse_tweets(p)[0].utc
+            parse_tweets(p)
         except InputError as exc:
             assert "does not match" in str(exc)
-            return None
+            return False
+        return True
 
 
 def _field(valid_hi: int, lo: int = 0):
@@ -175,10 +173,12 @@ padded_utc = st.tuples(st.integers(0, 9999), _field(12, 1), _field(31, 1),
 @settings(max_examples=300, deadline=None)
 def test_parse_tweets_utc_agrees_with_strptime_on_padded_ascii(utc):
     try:
-        expected = datetime.strptime(utc, "%Y-%m-%dT%H:%M:%SZ")
+        datetime.strptime(utc, "%Y-%m-%dT%H:%M:%SZ")
     except ValueError:
-        expected = None
-    assert _parsed_utc(utc) == expected
+        accepted = False
+    else:
+        accepted = True
+    assert _parsed_utc(utc) is accepted
 
 
 def test_parse_tweets_utc_rejects_what_strptime_also_reads():
@@ -188,10 +188,10 @@ def test_parse_tweets_utc_rejects_what_strptime_also_reads():
     for utc in ("2020-1-1T1:2:3Z", "\uff12\uff10\uff12\uff10-01-01T00:00:00Z",
                 "2020-01-01t00:00:00z"):
         datetime.strptime(utc, "%Y-%m-%dT%H:%M:%SZ")
-        assert _parsed_utc(utc) is None, utc
+        assert not _parsed_utc(utc), utc
     for utc in (20200101, None, ["2020-01-01T00:00:00Z"], "2020-01-01T00:00:00",
                 " 2020-01-01T00:00:00Z", "2020-01-01T00:00:00Z0"):
-        assert _parsed_utc(utc) is None, utc
+        assert not _parsed_utc(utc), utc
 
 
 def test_parse_tweets_requires_string_account_and_text(tmp_path):

@@ -1,6 +1,5 @@
 import logging
 from collections import Counter
-from datetime import datetime
 
 import pytest
 from hypothesis import given, settings
@@ -21,8 +20,7 @@ CHI_ONE_SIDED = 1.0 / 19.0  # 10 of 100 vs 0 of 100, worked by hand
 
 
 def tweet(account: str, text: str) -> TweetRecord:
-    return TweetRecord(account=account, utc=datetime(2017, 8, 12, 12, 0, 0),
-                       text=text)
+    return TweetRecord(account=account, text=text)
 
 
 def scores_for(**kv) -> MediaScores:
@@ -135,16 +133,19 @@ def test_identical_corpora_identical_tables():
 
 def test_keyword_subset_case_sensitive():
     corpus = [tweet("a", "Trump won"), tweet("b", "trump won")]
-    scan = scan_corpus(corpus, {}, None, ("Trump",))
-    assert [r.account for r in keyword_subset(scan, "Trump")] == ["a"]
+    scan = scan_corpus(corpus, {"a": "left", "b": "right"}, None, ("Trump",))
+    assert keyword_subset(scan, "Trump") == {"left": [1, 1], "right": [0, 0]}
 
 
 def test_keyword_subset_hashtag_and_absent():
     corpus = [tweet("a", "march on #Charlottesville now"),
-              tweet("b", "elsewhere")]
-    scan = scan_corpus(corpus, {}, None, ("#Charlottesville", "zzz"))
-    assert [r.account for r in keyword_subset(scan, "#Charlottesville")] == ["a"]
-    assert keyword_subset(scan, "zzz") == []
+              tweet("b", "elsewhere"), tweet("c", "march on #Charlottesville now")]
+    scan = scan_corpus(corpus, {"a": "left", "b": "left", "c": "left"}, None,
+                       ("#Charlottesville", "zzz"))
+    # two tweets of one text: two tweets, one distinct text
+    assert keyword_subset(scan, "#Charlottesville") == {"left": [2, 1],
+                                                        "right": [0, 0]}
+    assert keyword_subset(scan, "zzz") == {"left": [0, 0], "right": [0, 0]}
     with pytest.raises(InputError):
         keyword_subset(scan, "")
     # a keyword the scan did not look for has no subset to give
@@ -304,8 +305,9 @@ def test_scan_corpus_matches_the_per_statistic_scans(corpus, community_of,
                                                      keywords):
     seen = PassCounter(corpus)
     scan = scan_corpus(seen, CLASSES, community_of, keywords)
-    # one pass counts the texts, one scans, so the corpus must be a Sequence
-    assert seen.passes == 2
+    # one pass numbers the texts, then runs are read by index, so the
+    # corpus must be a Sequence
+    assert seen.passes == 1
     table = word_counts_by_class(scan)
     want = orc.word_counts_multi_scan(corpus, CLASSES)
     assert (table.left, table.right) == (want.left, want.right)
@@ -318,8 +320,10 @@ def test_scan_corpus_matches_the_per_statistic_scans(corpus, community_of,
         top, skipped = orc.hashtag_top_multi_scan(corpus, community_of)
         assert hashtag_top_per_community(scan) == top
         assert scan.n_skipped_tweets == skipped
+    assert scan.overall == orc.unique_by_side(corpus, CLASSES)
     for kw in keywords:
-        assert keyword_subset(scan, kw) == orc.keyword_subset_multi_scan(corpus, kw)
+        assert keyword_subset(scan, kw) == orc.unique_by_side(
+            orc.keyword_subset_multi_scan(corpus, kw), CLASSES)
 
 
 def test_scan_corpus_rejects_a_one_shot_iterator():
@@ -336,7 +340,7 @@ def test_scan_corpus_logs_its_texts(caplog):
     with caplog.at_level(logging.DEBUG, logger="rtpol.text"):
         scan_corpus(corpus, CLASSES, None, ())
     records = [r for r in caplog.records if r.name == "rtpol.text"]
-    assert [r.args for r in records] == [(4, 3, 3)]
+    assert [r.args for r in records] == [(4, 3)]
 
 
 def test_write_text_tokenizes_each_distinct_text_once(tmp_path, monkeypatch):
@@ -376,11 +380,10 @@ def test_tweet_records_have_slots_and_value_semantics():
 
 
 def test_unique_fraction():
-    corpus = [tweet("a", "x"), tweet("b", "x"), tweet("c", "y")]
-    stats = unique_fraction(corpus)
+    stats = unique_fraction(3, 2)
     assert (stats.total, stats.unique) == (3, 2)
     assert stats.fraction == pytest.approx(2 / 3)
-    assert unique_fraction([tweet("a", f"t{i}") for i in range(4)]).fraction == 1.0
-    assert unique_fraction([tweet("a", "same")] * 5).fraction == 0.2
-    empty = unique_fraction([])
+    assert unique_fraction(4, 4).fraction == 1.0
+    assert unique_fraction(5, 1).fraction == 0.2
+    empty = unique_fraction(0, 0)
     assert (empty.total, empty.unique, empty.fraction) == (0, 0, None)

@@ -12,23 +12,25 @@ length of a damped random walk, evaluated at teleportation-smoothed visit
 rates; teleportation steps are not encoded, so module exits count link
 flow only.
 
-Both objectives are optimized by one driver, `_multilevel`: it takes the
-nodes of a level from a queue that starts in seeded order, moving each to
-its best neighbouring module; a node that moves queues its neighbours
-outside its new module, and the level ends when the queue is empty (the
-Leiden "fast local move", Traag et al. 2019). The modules then become the
-supernodes of the next level, until a level moves nothing or merges
-nothing. The driver owns the visit orders, the queue and the relabelling.
-A node starts alone in the module whose id is its position in the seeded
-order, so ids are tie-break ranks that renumbering nodes cannot change;
-ids minted later (n, n+1, ...) rank after them. Each objective is a level
-class with four members:
+Both objectives are optimized by one driver, `_multilevel`. A level starts
+from labels: the caller's `start` at level 0 (n integers in range(n),
+repeats allowed), and otherwise each node alone in the module whose id is
+its position in the level's seeded order, so ids are tie-break ranks that
+renumbering nodes cannot change; ids minted later (n, n+1, ...) rank after
+them. The level takes its nodes from a queue that starts in label order,
+moving each to its best neighbouring module; a node that moves queues its
+neighbours outside its new module, and the level ends when the queue is
+empty (the Leiden "fast local move", Traag et al. 2019). The modules then
+become the supernodes of the next level, until a level ends with as many
+modules as nodes. Every move improves the objective, so the result is
+never worse than the start. The driver owns the start labels, the queue
+and the relabelling. Each objective is a level class with four members:
 
 - `n`, the number of (super)nodes of the level;
 - `mover(comm)`, which returns `move(v) -> bool` from start labels `comm`
-  in range(n), a permutation from `_multilevel`. A call moves node v to the
-  best of its neighbours' modules, tried in id order (a kernel may open a
-  new module), writes it to `comm[v]`, and reports whether v changed module;
+  in range(n), repeats allowed. A call moves node v to the best of its
+  neighbours' modules, tried in id order (a kernel may open a new module),
+  writes it to `comm[v]`, and reports whether v changed module;
 - `neighbours()`, (indptr, indices) CSR pairs whose rows list v's neighbours;
 - `aggregate(labels, k)`, which returns the next level, whose k nodes are
   the modules given by `labels`.
@@ -172,30 +174,30 @@ def _csr_views(mat: sparse.csr_matrix) -> tuple[memoryview, memoryview, memoryvi
     return memoryview(mat.indptr), memoryview(mat.indices), memoryview(mat.data)
 
 
-def _multilevel(level, seed: int | None, visit_order: Sequence[int] | None,
+def _multilevel(level, seed: int, start: Sequence[int] | None,
                 tag: int) -> Partition:
     """Greedy move-and-aggregate search over a chain of levels, each moving
     its nodes from a queue until it runs empty (see the module docstring).
-    Level l queues its nodes in the order drawn from the (seed, tag, l, 0)
-    stream; an explicit `visit_order` replaces that order at level 0.
+    Level l starts from the ranks of the order drawn from the
+    (seed, tag, l, 0) stream, or at level 0 from `start` when it is given.
     """
     n0 = level.n
-    fixed = None
-    if visit_order is not None:
-        fixed = np.asarray(visit_order)
-        if (fixed.dtype.kind not in "iu" or fixed.shape != (n0,)
-                or not np.array_equal(np.sort(fixed), np.arange(n0))):
-            raise InputError(f"visit_order must be a permutation of range({n0})")
+    if start is not None:
+        start = np.asarray(start)
+        if (start.dtype.kind not in "iu" or start.shape != (n0,)
+                or start.min() < 0 or start.max() >= n0):
+            raise InputError(f"start must hold {n0} integer labels in range({n0})")
 
     membership = np.arange(n0, dtype=np.int64)
     for depth in itertools.count():
         n = level.n
-        first = (fixed if depth == 0 and fixed is not None else
-                 generator(derive_seed(seed or 0, tag, depth, 0)).permutation(n))
-        comm = np.argsort(first).tolist()
+        labels = (start if depth == 0 and start is not None else
+                  np.argsort(generator(derive_seed(seed, tag, depth, 0)).permutation(n)))
+        order = np.argsort(labels, kind="stable")
+        comm = labels.tolist()
         move = level.mover(comm)
         csrs = level.neighbours()
-        queue = deque(first.tolist())
+        queue = deque(order.tolist())
         queued = bytearray(b"\x01") * n
         visits = moves = 0
         while queue:
@@ -211,14 +213,10 @@ def _multilevel(level, seed: int | None, visit_order: Sequence[int] | None,
                     if not queued[u] and comm[u] != cv:
                         queued[u] = 1
                         queue.append(u)
-        k = n
-        if moves:
-            labels, k = _compact_by_order(np.array(comm, dtype=np.int64), first)
+        labels, k = _compact_by_order(np.array(comm, dtype=np.int64), order)
         _log.debug("level %(depth)d: n=%(n)d visits=%(visits)d moves=%(moves)d"
                    " k=%(k)d", {"depth": depth, "n": n, "visits": visits,
                                 "moves": moves, "k": k})
-        if not moves:
-            break
         membership = labels[membership]
         if k == n:
             break
@@ -298,19 +296,19 @@ class _ModularityLevel:
 
 
 def louvain(g: RetweetGraph, params: ModularityParams = ModularityParams(),
-            seed: int | None = 0,
-            visit_order: Sequence[int] | None = None) -> Partition:
+            seed: int = 0, start: Sequence[int] | None = None) -> Partition:
     """Greedy directed-modularity optimization, Louvain style.
 
-    Starts from singletons, so the returned partition never scores below
-    the singleton baseline. `visit_order` fixes the level-0 node sweep
-    sequence and disables the seeded shuffle (deterministic mode).
+    Starts from singletons in seeded order, or from the labels `start`: n
+    integers in range(n), repeats allowed, whose nodes level 0 visits in
+    label order. Every move raises Q, so the returned partition never
+    scores below its start.
     """
     if g.w == 0:
         raise DegenerateInputError("cannot optimize modularity on a graph with no edges")
     level = _ModularityLevel(g.n, g.targets, g.sources, g.counts.astype(np.float64),
                              float(g.w), params.gamma)
-    return _multilevel(level, seed, visit_order, tag=0)
+    return _multilevel(level, seed, start, tag=0)
 
 
 # ---------------------------------------------------------------------------
@@ -493,19 +491,18 @@ class _FlowLevel:
 
 
 def infomap(g: RetweetGraph, params: MapEquationParams = MapEquationParams(),
-            seed: int | None = 0,
-            visit_order: Sequence[int] | None = None) -> Partition:
+            seed: int = 0, start: Sequence[int] | None = None) -> Partition:
     """Greedy two-level map-equation minimization.
 
-    Starts from singletons and only takes moves that shorten the
-    description length, so the result never codes worse than singletons.
-    `visit_order` fixes the level-0 sweep sequence (deterministic mode).
+    Starts from singletons in seeded order, or from the labels `start` as
+    in `louvain`. Every move shortens the description length, so the
+    result never codes worse than its start.
     """
     if g.n == 0:
         raise InputError("graph has no nodes")
     p, flows, dangling = _build_flows(g, params)
     level = _FlowLevel(g.n, p, dangling, np.ones(g.n), g.sources, g.targets, flows)
-    return _multilevel(level, seed, visit_order, tag=1)
+    return _multilevel(level, seed, start, tag=1)
 
 
 # ---------------------------------------------------------------------------
@@ -524,9 +521,9 @@ def community_profiles(partition: Partition,
     if scores.shape != partition.assignment.shape:
         raise InputError("node scores are not aligned to the partition")
     classes = np.array([sign_class(v) for v in scores.tolist()])
+    order = np.argsort(partition.assignment, kind="stable")
     profiles = []
-    for c in range(partition.k):
-        members = np.flatnonzero(partition.assignment == c)
+    for c, members in enumerate(np.split(order, np.cumsum(partition.sizes()))[:-1]):
         vals = scores[members]
         vals = vals[~np.isnan(vals)]
         n_left = int((classes[members] == "left").sum())

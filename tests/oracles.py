@@ -5,7 +5,9 @@ double sums, exhaustive enumeration, textbook entropy formulas. None of it
 shares code with src/, so a disagreement points at exactly one side. The
 text oracles are the exception: they take the tokenizer from src/ (it has
 tests of its own) and scan the corpus once per statistic, as the package
-did before its one-pass `scan_corpus`.
+did before its one-pass `scan_corpus`. The profile oracle likewise takes
+the class rule and the Shannon index from src/ and scans the nodes once
+per community, as `community_profiles` did before it grouped by one sort.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ from collections import Counter
 
 import numpy as np
 
+from rtpol.community import CommunityProfile, shannon_diversity
 from rtpol.graph import RetweetGraph
+from rtpol.pca import sign_class
 from rtpol.stopwords import DEFAULT_EXTRA_STOPWORDS, ENGLISH_STOPWORDS
 from rtpol.text import COLLECTION_TAG, WordCountTable, tokenize
 
@@ -280,6 +284,25 @@ def agreement_fraction(assignment, truth) -> float:
             counts[int(t)] = counts.get(int(t), 0) + 1
         agree += max(counts.values())
     return agree / truth.size
+
+
+def community_profiles_scan(partition, node_scores) -> list:
+    """`community_profiles` by one pass over all nodes per community."""
+    scores = np.asarray(node_scores, dtype=np.float64)
+    classes = np.array([sign_class(v) for v in scores.tolist()])
+    profiles = []
+    for c in range(partition.k):
+        members = np.flatnonzero(partition.assignment == c)
+        vals = scores[members]
+        vals = vals[~np.isnan(vals)]
+        n_left = int((classes[members] == "left").sum())
+        n_right = int((classes[members] == "right").sum())
+        mean = float(vals.mean()) if vals.size else None
+        profiles.append(CommunityProfile(
+            community=c, size=int(members.size), n_left=n_left,
+            n_right=n_right, mean_score=mean,
+            shannon=shannon_diversity(n_left, n_right)))
+    return profiles
 
 
 def largest_component_union_find(g: RetweetGraph) -> list[int]:

@@ -14,6 +14,7 @@ from rtpol import build_graph, community_profiles, infomap, louvain
 from rtpol import map_equation, modularity, resolution_sweep, shannon_diversity
 from rtpol.community import _FlowLevel, _ModularityLevel, _build_flows, _compact_by_order
 from rtpol.errors import DegenerateInputError, InputError
+from rtpol.pca import ZERO_BAND
 from rtpol.synth import SyntheticSpec, account_ids, planted_edges
 
 H_QUARTER = 0.25 * math.log(4.0) + 0.75 * math.log(4.0 / 3.0)  # H(0.25, 0.75)
@@ -134,27 +135,28 @@ def test_louvain_deterministic_per_seed():
     assert np.array_equal(a, b)
 
 
-def test_louvain_fixed_visit_order_mode():
+def test_louvain_fixed_start_mode():
     g, _ = planted_graph(2)
-    vo = list(range(g.n))
-    a = louvain(g, visit_order=vo).assignment
-    b = louvain(g, visit_order=vo, seed=99).assignment  # seed ignored at level 0
+    start = np.arange(g.n)  # the fixed order 0..n-1
+    a = louvain(g, start=start).assignment
+    b = louvain(g, start=start, seed=99).assignment  # seed ignored at level 0
     assert np.array_equal(a, b)
 
 
-def test_visit_order_must_be_a_permutation():
-    """A wrong-length, repeating or out-of-range order is rejected up front
-    instead of silently falling back to index order or failing mid-run."""
+def test_start_must_hold_labels_in_range():
+    """A wrong-length, out-of-range or non-integer start is rejected up
+    front instead of failing mid-run; repeated labels are a valid start."""
     g = build_graph([EdgeRecord("a", "b"), EdgeRecord("b", "c"),
                      EdgeRecord("c", "a"), EdgeRecord("d", "e"),
                      EdgeRecord("e", "f"), EdgeRecord("f", "d")])
     for fn in (louvain, infomap):
-        for bad in ([0, 1], [0] * 6, [0, 1, 2, 3, 4, 6], [-1, 1, 2, 3, 4, 5],
-                    list(range(7))):
-            with pytest.raises(InputError, match="permutation"):
-                fn(g, visit_order=bad)
-        good = fn(g, visit_order=[5, 4, 3, 2, 1, 0])
+        for bad in ([0, 1], [0, 1, 2, 3, 4, -1], [0, 1, 2, 3, 4, 6],
+                    list(range(7)), [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]):
+            with pytest.raises(InputError, match="start"):
+                fn(g, start=bad)
+        good = fn(g, start=np.argsort([5, 4, 3, 2, 1, 0]))
         assert canon(good.assignment) == (0, 0, 0, 1, 1, 1)
+        assert fn(g, start=[0] * 6).assignment.shape == (6,)
 
 
 def canon(labels) -> tuple:
@@ -163,8 +165,8 @@ def canon(labels) -> tuple:
 
 
 def test_optimizers_equivariant_under_relabeling():
-    """Renumbering nodes and the visit order together cannot change the
-    partition, in fixed visit order mode."""
+    """Renumbering nodes and a fixed level-0 order together cannot change
+    the partition: the order P is the start np.argsort(P)."""
     rng = np.random.default_rng(41)
     for trial in range(6):
         g = orc.random_graph(rng, 10)
@@ -177,8 +179,8 @@ def test_optimizers_equivariant_under_relabeling():
         vo = rng.permutation(g.n)
         vo2 = perm[vo]
         for fn in (louvain, infomap):
-            p1 = fn(g, visit_order=vo)
-            p2 = fn(renamed, visit_order=vo2)
+            p1 = fn(g, start=np.argsort(vo))
+            p2 = fn(renamed, start=np.argsort(vo2))
             assert canon(p1.assignment) == canon(p2.assignment[perm])
 
 
@@ -315,19 +317,19 @@ def pinned_cases():
     spec = SyntheticSpec(seed=0)
     graphs.append(("bundle", build_graph(planted_edges(spec), nodes=account_ids(spec))))
     for name, g in graphs:
-        fixed = [int(v) for v in rng.permutation(g.n)]
+        start = np.argsort(rng.permutation(g.n))
         for gamma in (1.0, 5.0):
             par = ModularityParams(gamma=gamma)
             for seed in (0, 7):
                 yield (f"{name}/louvain/gamma={gamma}/seed={seed}",
                        lambda g=g, par=par, seed=seed: louvain(g, par, seed=seed))
             yield (f"{name}/louvain/gamma={gamma}/fixed",
-                   lambda g=g, par=par, vo=fixed: louvain(g, par, visit_order=vo))
+                   lambda g=g, par=par, s=start: louvain(g, par, start=s))
         for seed in (0, 7):
             yield (f"{name}/infomap/seed={seed}",
                    lambda g=g, seed=seed: infomap(g, seed=seed))
         yield (f"{name}/infomap/fixed",
-               lambda g=g, vo=fixed: infomap(g, visit_order=vo))
+               lambda g=g, s=start: infomap(g, start=s))
 
 
 #: first 16 hex digits of sha256 over the comma-joined assignment. Several
@@ -394,7 +396,7 @@ PINNED = {
 
 
 def test_optimizers_pinned_output():
-    """Exact partitions per (graph, method, gamma, seed or fixed order);
+    """Exact partitions per (graph, method, gamma, seed or fixed start);
     a refactor of the optimizers must reproduce every one."""
     got = {}
     for key, run in pinned_cases():
@@ -493,6 +495,44 @@ def test_each_move_improves_the_recomputed_objective():
     assert any(opened), "no move opened a new module"
 
 
+def test_optimizers_never_end_worse_than_their_start():
+    """From any start labels, louvain scores at least the start's Q and
+    infomap codes at most the start's L; 1e-12 absorbs the summation order
+    of a relabelled partition."""
+    @settings(max_examples=150, deadline=None)
+    @given(graphs_and_visits())
+    def check(case):
+        n, edges, _, perm, grouped = case
+        g = build_graph([EdgeRecord(f"v{t}", f"v{s}", c) for t, s, c in edges],
+                        nodes=[f"v{i}" for i in range(n)])
+        for start in (perm, grouped):
+            s = Partition.from_labels(start)
+            assert modularity(g, louvain(g, start=start)) >= modularity(g, s) - 1e-12
+            assert map_equation(g, infomap(g, start=start)) <= map_equation(g, s) + 1e-12
+
+    check()
+
+
+def test_start_that_no_node_leaves_comes_back_unchanged():
+    """Each 2-cycle is already its best module, so nothing moves; the level
+    still compacts the start's labels instead of returning singletons."""
+    g = two_cycles()
+    for fn in (louvain, infomap):
+        assert fn(g, start=[0, 0, 1, 1]).assignment.tolist() == [0, 0, 1, 1]
+
+
+def test_start_from_planted_split_of_default_bundle():
+    """On the default 1,000-account bundle, a start from the planted split
+    codes at most at the split's 9.1792393 bits and scores at least its
+    Q = 0.4547319 (ROADMAP item 2's targets)."""
+    spec = SyntheticSpec(seed=0)
+    g = build_graph(planted_edges(spec), nodes=account_ids(spec))
+    planted = np.array([0 if a.startswith("L") else 1 for a in g.ids])
+    for seed in range(3):
+        assert map_equation(g, infomap(g, seed=seed, start=planted)) <= 9.179239
+        assert modularity(g, louvain(g, seed=seed, start=planted)) >= 0.4547319
+
+
 # ---------------------------------------------------------------------------
 # profiles, diversity, sweep
 # ---------------------------------------------------------------------------
@@ -535,6 +575,21 @@ def test_community_profiles():
     # no scored member: flagged, not crashed
     assert profs[2].mean_score is None
     assert profs[2].shannon is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 6),
+                          st.sampled_from([math.nan, ZERO_BAND, -ZERO_BAND, 0.0])
+                          | st.floats(-5.0, 5.0)), max_size=30))
+@example([])
+@example([(i, float(i) - 2.0) for i in range(5)])  # singletons
+def test_community_profiles_match_per_community_scan(rows):
+    part = Partition.from_labels([c for c, _ in rows])
+    scores = np.array([s for _, s in rows], dtype=np.float64)
+    got = community_profiles(part, scores)
+    assert repr(got) == repr(orc.community_profiles_scan(part, scores))
+    if not rows:
+        assert got == []
 
 
 def test_community_profiles_alignment_checked():

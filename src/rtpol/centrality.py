@@ -16,6 +16,9 @@ import numpy as np
 from .errors import ConvergenceError, DegenerateInputError, InputError
 from .graph import RetweetGraph
 
+#: smallest k that `top_k` accepts
+MIN_TOP_K = 1
+
 
 @dataclass(frozen=True)
 class PageRankParams:
@@ -154,8 +157,8 @@ def modular_degree_ratio(g: RetweetGraph, assignment: Sequence[int],
 
 def top_k(scores: CentralityScores, k: int) -> list[int]:
     """Indices of the k best-scoring nodes, ties broken by ascending index."""
-    if k < 1:
-        raise InputError(f"k must be at least 1, got {k}")
+    if k < MIN_TOP_K:
+        raise InputError(f"k must be at least {MIN_TOP_K}, got {k}")
     n = scores.values.size
     order = np.lexsort((np.arange(n), -scores.values))
     return [int(i) for i in order[:min(k, n)]]

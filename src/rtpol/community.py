@@ -24,7 +24,8 @@ empty (the Leiden "fast local move", Traag et al. 2019). The modules then
 become the supernodes of the next level, until a level ends with as many
 modules as nodes. Every move improves the objective, so the result is
 never worse than the start. The driver owns the start labels, the queue
-and the relabelling. Each objective is a level class with four members:
+and the relabelling. Each objective is a level class that holds only what
+its four members read:
 
 - `n`, the number of (super)nodes of the level;
 - `mover(comm)`, which returns `move(v) -> bool` from start labels `comm`
@@ -230,33 +231,33 @@ def _multilevel(level, seed: int, start: Sequence[int] | None,
 
 
 class _ModularityLevel:
-    """Directed weighted edges between the supernodes of one Louvain level.
-
-    Moves are scored on the symmetrized neighbour weights A + A' without
-    self-loops; `w` is the total weight of the original graph.
+    """One Louvain level: `sym`, the weights A + A' between distinct
+    supernodes with indices sorted (the queue takes neighbours in column
+    order), their in- and out-strengths, and gamma over the graph's total
+    weight. The next level's `sym` is P' sym P for the membership matrix
+    P; the weights are integer counts that `build_graph` bounds by 2**53
+    in total, so each sum is exact in any order.
     """
 
-    def __init__(self, n: int, targets: np.ndarray, sources: np.ndarray,
-                 weights: np.ndarray, w: float, gamma: float):
-        self.n = n
-        self.targets = targets
-        self.sources = sources
-        self.weights = weights
-        self.w = w
-        self.gamma = gamma
-        a = sparse.coo_matrix((weights, (targets, sources)), shape=(n, n))
-        self.sym = (a + a.T).tocsr()
-        self.sym.setdiag(0)
-        self.sym.eliminate_zeros()
-        self.win = np.bincount(targets, weights=weights, minlength=n)
-        self.wout = np.bincount(sources, weights=weights, minlength=n)
+    def __init__(self, sym: sparse.csr_matrix, win: np.ndarray,
+                 wout: np.ndarray, gamma_w: float):
+        self.n = sym.shape[0]
+        self.sym = (sym - sparse.diags(sym.diagonal())).tocsr()  # drops the diagonal
+        self.sym.sort_indices()
+        self.win, self.wout, self.gamma_w = win, wout, gamma_w
+
+    @classmethod
+    def of_graph(cls, g: RetweetGraph, gamma: float) -> "_ModularityLevel":
+        a = g.adjacency()
+        return cls(a + a.T, g.in_strength.astype(np.float64),
+                   g.out_strength.astype(np.float64), gamma / g.w)
 
     def mover(self, comm: list[int]) -> Callable[[int], bool]:
         indptr, indices, data = _csr_views(self.sym)
         win, wout = memoryview(self.win), memoryview(self.wout)
         acc_in = memoryview(np.bincount(comm, weights=self.win, minlength=self.n))
         acc_out = memoryview(np.bincount(comm, weights=self.wout, minlength=self.n))
-        gamma_w = self.gamma / self.w
+        gamma_w = self.gamma_w
 
         def move(v: int) -> bool:
             cv = comm[v]
@@ -288,11 +289,12 @@ class _ModularityLevel:
         return (_csr_views(self.sym)[:2],)
 
     def aggregate(self, labels: np.ndarray, k: int) -> "_ModularityLevel":
-        pair = labels[self.targets] * k + labels[self.sources]
-        uniq, inv = np.unique(pair, return_inverse=True)
-        return _ModularityLevel(k, uniq // k, uniq % k,
-                                np.bincount(inv, weights=self.weights),
-                                self.w, self.gamma)
+        member = sparse.csr_matrix((np.ones(self.n), labels, np.arange(self.n + 1)),
+                                   shape=(self.n, k))
+        return _ModularityLevel(member.T @ self.sym @ member,
+                                np.bincount(labels, weights=self.win, minlength=k),
+                                np.bincount(labels, weights=self.wout, minlength=k),
+                                self.gamma_w)
 
 
 def louvain(g: RetweetGraph, params: ModularityParams = ModularityParams(),
@@ -306,9 +308,7 @@ def louvain(g: RetweetGraph, params: ModularityParams = ModularityParams(),
     """
     if g.w == 0:
         raise DegenerateInputError("cannot optimize modularity on a graph with no edges")
-    level = _ModularityLevel(g.n, g.targets, g.sources, g.counts.astype(np.float64),
-                             float(g.w), params.gamma)
-    return _multilevel(level, seed, start, tag=0)
+    return _multilevel(_ModularityLevel.of_graph(g, params.gamma), seed, start, tag=0)
 
 
 # ---------------------------------------------------------------------------
@@ -370,9 +370,10 @@ class _FlowLevel:
 
     Each supernode carries its visit mass, its unrecorded dangling rate,
     and the number of original nodes it stands for; link flows between
-    supernodes are held in CSR/CSC form with self-flows split out. The
-    mover's per-module lists always end with one empty module: a node opens
-    a new module by taking it, which appends the next empty one.
+    distinct supernodes are held in CSR/CSC form (no move reads the flow
+    within one). The mover's per-module lists always end with one empty
+    module: a node opens a new module by taking it, which appends the next
+    empty one.
     """
 
     def __init__(self, n_orig: int, p: np.ndarray, umass: np.ndarray,
@@ -380,15 +381,10 @@ class _FlowLevel:
                  flow: np.ndarray):
         self.n_orig = n_orig
         self.n = p.size
-        self.p = p
-        self.umass = umass
-        self.sizes = sizes
+        self.p, self.umass, self.sizes = p, umass, sizes
         off = from_idx != to_idx
-        self.self_flow = np.bincount(from_idx[~off], weights=flow[~off],
-                                     minlength=self.n)
         mat = sparse.csr_matrix((flow[off], (from_idx[off], to_idx[off])),
-                                shape=(self.n, self.n))
-        mat.sum_duplicates()
+                                shape=(self.n, self.n))  # sums duplicate pairs
         self.out_mat = mat
         self.in_mat = mat.T.tocsr()
         self.out_total = np.asarray(mat.sum(axis=1)).ravel()
@@ -479,15 +475,11 @@ class _FlowLevel:
 
     def aggregate(self, labels: np.ndarray, k: int) -> "_FlowLevel":
         coo = self.out_mat.tocoo()
-        frm = np.concatenate([coo.row, np.arange(self.n)])
-        to = np.concatenate([coo.col, np.arange(self.n)])
-        fl = np.concatenate([coo.data, self.self_flow])
-        keep = fl > 0
         return _FlowLevel(self.n_orig,
                           np.bincount(labels, weights=self.p, minlength=k),
                           np.bincount(labels, weights=self.umass, minlength=k),
                           np.bincount(labels, weights=self.sizes, minlength=k),
-                          labels[frm[keep]], labels[to[keep]], fl[keep])
+                          labels[coo.row], labels[coo.col], coo.data)
 
 
 def infomap(g: RetweetGraph, params: MapEquationParams = MapEquationParams(),

@@ -32,17 +32,16 @@ class RetweetGraph:
     """Aggregated directed weighted graph over densely indexed nodes.
 
     Edge arrays are kept sorted by (target, source) and hold one entry per
-    distinct node pair. `ids` maps indices back to external account ids;
-    `index_of` is the inverse.
+    distinct node pair. `ids` maps indices to external account ids, each
+    held once.
     """
 
     def __init__(self, ids: Sequence[str], targets: np.ndarray,
                  sources: np.ndarray, counts: np.ndarray):
         self.ids: tuple[str, ...] = tuple(ids)
-        self.index_of: dict[str, int] = {a: i for i, a in enumerate(self.ids)}
-        if len(self.index_of) != len(self.ids):
-            raise InputError("duplicate external node ids")
         self.n = len(self.ids)
+        if len(set(self.ids)) != self.n:
+            raise InputError("duplicate external node ids")
         t, s = (np.asarray(x, dtype=np.int64) for x in (targets, sources))
         # an induced subgraph arrives with its (target, source) keys strictly
         # increasing already, and then skips the sort

@@ -8,9 +8,9 @@ are written under a .partial suffix and renamed on stage completion, so an
 aborted run leaves completed stages intact and the failing stage's files
 clearly marked.
 
-`run_report` lets the RTPOL_OUT_DIR environment variable override the
-configured output directory. Analytical outputs are deterministic for a fixed config and
-seed; wall-clock times live only in the manifest.
+`run_report` lets a non-empty RTPOL_OUT_DIR environment variable override
+the configured output directory. Analytical outputs are deterministic for
+a fixed config and seed; wall-clock times live only in the manifest.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import scipy
 from . import __version__
 from .errors import ConvergenceError, InputError, StageError
 from .graph import RetweetGraph, build_graph, largest_weak_component
-from .centrality import (CentralityScores, PageRankParams, degree_scores,
+from .centrality import (MIN_TOP_K, CentralityScores, PageRankParams, degree_scores,
                          hits, pagerank, modular_degree_ratio, top_k)
 from .community import (DEFAULT_GAMMA_GRID, MapEquationParams,
                         ModularityParams, Partition, community_profiles,
@@ -38,7 +38,7 @@ from .io import (open_utf8, parse_edges, parse_followership, parse_tweets,
                  write_csv, write_json)
 from .pca import (MediaLoadings, MediaScores, first_principal_component,
                   node_score_array, score_accounts)
-from .polarization import AssortativityReport, assortativity_report
+from .polarization import MIN_PERM, AssortativityReport, assortativity_report
 from .rng import derive_seed
 from .text import (TweetRecord, chi_square, hashtag_top_per_community,
                    keyword_subset, scan_corpus, unique_fraction,
@@ -67,10 +67,13 @@ class PipelineConfig:
     drop_media_accounts: bool = False
 
     def __post_init__(self):
-        # the parameter classes own the rules for gamma and tau
+        # the layers own the rules for gamma, tau, n_perm and top_k
         for gamma in self.gammas:
             ModularityParams(gamma=gamma)
         MapEquationParams(tau=self.tau)
+        for name, least in (("n_perm", MIN_PERM), ("top_k", MIN_TOP_K)):
+            if (value := getattr(self, name)) < least:
+                raise InputError(f"{name} must be at least {least}, got {value}")
 
 
 #: fields recorded under the manifest's "params"
@@ -271,7 +274,7 @@ def run_report(config: PipelineConfig) -> dict:
     before the failure stay on disk, the failing stage's files keep their
     .partial suffix.
     """
-    out_dir = Path(os.environ.get(ENV_OUT_DIR, config.out_dir))
+    out_dir = Path(os.environ.get(ENV_OUT_DIR) or config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     writer = _StageWriter(out_dir)
     seed = config.seed
@@ -325,7 +328,7 @@ def run_report(config: PipelineConfig) -> dict:
             "seed": seed})
 
     def stage_lwcc():
-        g_full = state["g_full"]
+        g_full = state.pop("g_full")  # freed once the component is taken
         g = largest_weak_component(g_full)
         state["g"] = g
         write_json(writer.path("lwcc.json"), {

@@ -25,6 +25,8 @@ from .rng import splitmix64_array
 
 #: replicate fraction above which skipped permutations trigger a warning
 SKIP_WARN_FRACTION = 0.01
+#: fewest permutation replicates whose null has a standard deviation
+MIN_PERM = 2
 # Bytes of one [block, n_scored] float64 array of the permutation null. On a
 # 2 MB-per-core L2, 0.5 MB (66 rows at n_scored = 983) ran faster than 16 or
 # 256 rows; at 49k scored nodes 1 to 8 rows ran at the same speed.
@@ -257,8 +259,8 @@ def permutation_test(g: RetweetGraph, node_scores: np.ndarray,
     `rtpol.polarization` logger give the replicates done and skipped, one
     for each block that completes another tenth of the replicates.
     """
-    if n_perm < 2:
-        raise InputError(f"need at least 2 permutation replicates, got {n_perm}")
+    if n_perm < MIN_PERM:
+        raise InputError(f"need at least {MIN_PERM} permutation replicates, got {n_perm}")
     rho_obs, n_dyads = dyad_correlation(g, node_scores)
     vals, src, tgt = _dyad_positions(g, node_scores)
     rhos = _replicate_rhos(vals, src, tgt, seed, 0, n_perm)
@@ -347,8 +349,8 @@ def assortativity_report(g: RetweetGraph, node_scores: np.ndarray,
     """
     scores = np.asarray(node_scores, dtype=np.float64)
     if drop_nodes:
-        dropped = {g.index_of[ext] for ext in drop_nodes if ext in g.index_of}
-        keep = [i for i in range(g.n) if i not in dropped]
+        dropped = set(drop_nodes)
+        keep = [i for i, ext in enumerate(g.ids) if ext not in dropped]
         g = induced_subgraph(g, keep)  # keeps `keep`'s ascending order
         scores = scores[keep]
     perm = permutation_test(g, scores, n_perm=n_perm, seed=seed)

@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import Counter
 
 import numpy as np
+from scipy import sparse
 
 from rtpol.community import CommunityProfile, shannon_diversity
 from rtpol.graph import RetweetGraph
@@ -370,6 +371,27 @@ def aggregate_edges_dict(records, nodes=None):
     if sum(agg.values()) > 2**53:
         raise InputError("total retweet count exceeds 2**53")
     return ids, sorted((t, s, c) for (t, s), c in agg.items())
+
+
+def modularity_level_pairs(n: int, targets, sources, weights):
+    """(sym, win, wout) of a Louvain level given as a directed pair list,
+    built the way `_ModularityLevel` built every level before it held only
+    its symmetric matrix: A + A' from COO, the diagonal set to 0 and
+    eliminated, and the strengths binned from the pairs."""
+    a = sparse.coo_matrix((weights, (targets, sources)), shape=(n, n))
+    sym = (a + a.T).tocsr()
+    sym.setdiag(0)
+    sym.eliminate_zeros()
+    return (sym, np.bincount(targets, weights=weights, minlength=n),
+            np.bincount(sources, weights=weights, minlength=n))
+
+
+def aggregate_pairs(targets, sources, weights, labels, k: int):
+    """Directed pair list of the next Louvain level: one entry per distinct
+    (community of target, community of source), with its summed weight."""
+    pair = labels[targets] * k + labels[sources]
+    uniq, inv = np.unique(pair, return_inverse=True)
+    return uniq // k, uniq % k, np.bincount(inv, weights=weights)
 
 
 def random_graph(rng: np.random.Generator, n_max: int = 10,

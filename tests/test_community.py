@@ -473,8 +473,7 @@ def test_each_move_improves_the_recomputed_objective():
         levels = (
             (_FlowLevel(g.n, p, dangling, np.ones(g.n), g.sources, g.targets, flows),
              lambda comm: -map_equation(g, Partition.from_labels(comm))),
-            (_ModularityLevel(g.n, g.targets, g.sources,
-                              g.counts.astype(np.float64), float(g.w), 1.0),
+            (_ModularityLevel.of_graph(g, 1.0),
              lambda comm: modularity(g, Partition.from_labels(comm))),
         )
         for (level, score), start in itertools.product(levels, (range(n), perm, grouped)):
@@ -493,6 +492,36 @@ def test_each_move_improves_the_recomputed_objective():
 
     check()
     assert any(opened), "no move opened a new module"
+
+
+def test_modularity_levels_match_the_directed_pair_oracle():
+    """Level 0 and two aggregations over random labels hold the sym, win
+    and wout, array for array, that the directed pair list of each level
+    gives (`oracles.modularity_level_pairs`), so P' sym P with its diagonal
+    dropped is the old pair aggregation, index order included."""
+    @settings(max_examples=150, deadline=None)
+    @given(graphs_and_visits(), st.data())
+    def check(case, data):
+        n, edges, _, _, _ = case
+        g = build_graph([EdgeRecord(f"v{t}", f"v{s}", c) for t, s, c in edges],
+                        nodes=[f"v{i}" for i in range(n)])
+        level = _ModularityLevel.of_graph(g, 1.0)
+        pairs = (g.targets, g.sources, g.counts.astype(np.float64))
+        for _ in range(3):
+            sym, win, wout = orc.modularity_level_pairs(level.n, *pairs)
+            for got, want in ((level.sym.indptr, sym.indptr),
+                              (level.sym.indices, sym.indices),
+                              (level.sym.data, sym.data),
+                              (level.win, win), (level.wout, wout)):
+                np.testing.assert_array_equal(got, want)
+            drawn = data.draw(st.lists(st.integers(0, level.n - 1),
+                                       min_size=level.n, max_size=level.n))
+            labels, k = orc.relabel_first_appearance(drawn, range(level.n))
+            labels = np.array(labels, dtype=np.int64)
+            pairs = orc.aggregate_pairs(*pairs, labels, k)
+            level = level.aggregate(labels, k)
+
+    check()
 
 
 def test_optimizers_never_end_worse_than_their_start():

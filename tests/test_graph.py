@@ -51,6 +51,11 @@ def test_total_count_beyond_float64_exact_range_rejected():
     assert g.w == 2**53 == int(g.in_strength[0])
 
 
+def test_duplicate_node_ids_rejected():
+    with pytest.raises(InputError, match="duplicate external node ids"):
+        RetweetGraph(["a", "a"], [0], [1], [1])
+
+
 def test_empty_external_id_rejected():
     with pytest.raises(InputError):
         build_graph([EdgeRecord("", "b", 1)])

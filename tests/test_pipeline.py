@@ -130,6 +130,23 @@ def test_load_config_rejects_bad_gamma_and_tau(tmp_path):
             load_config(p)
 
 
+def test_config_rejects_n_perm_and_top_k_below_their_layer_bounds(tmp_path, capsys):
+    """n_perm = 1 and top_k = 0 fail when the config is built, before the
+    report makes its output directory, not at assortativity or rankings."""
+    bundle = generate_bundle(SMALL, tmp_path / "bundle")
+    out = tmp_path / "out"
+    cfg = tmp_path / "run.cfg"
+    for key, value, least in (("n_perm", 1, 2), ("n_perm", 0, 2),
+                              ("top_k", 0, 1), ("top_k", -3, 1)):
+        cfg.write_text(f"edges={bundle.edges}\nfollowership={bundle.followership}\n"
+                       f"tweets={bundle.tweets}\nout_dir={out}\n{key}={value}\n")
+        with pytest.raises(InputError, match=f"{key} must be at least {least}, got {value}"):
+            load_config(cfg)
+        assert main(["report", "--config", str(cfg)]) == 1
+        assert f"{key} must be at least" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_auto_size_floor():
     assert auto_size_floor(100) == 10
     assert auto_size_floor(5000) == 25
@@ -374,6 +391,19 @@ def test_out_dir_env_override(tmp_path, monkeypatch):
     run_report(load_config(cfg_path))
     assert (override / "manifest.json").exists()
     assert not (tmp_path / "from_file").exists()
+
+
+def test_empty_out_dir_env_counts_as_unset(tmp_path, monkeypatch):
+    """An empty RTPOL_OUT_DIR leaves the configured directory in charge;
+    it used to be Path(""), the working directory."""
+    bundle = generate_bundle(SMALL, tmp_path / "bundle")
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    monkeypatch.setenv("RTPOL_OUT_DIR", "")
+    run_report(small_config(bundle, tmp_path / "configured"))
+    assert (tmp_path / "configured" / "manifest.json").exists()
+    assert list(cwd.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

@@ -478,3 +478,16 @@ def test_assortativity_report_drop_nodes():
     full = assortativity_report(g, scores, n_perm=500, seed=0)
     assert rep.perm.n_dyads < full.perm.n_dyads
     assert rep.r > 0.9
+
+
+def test_assortativity_report_ignores_unknown_drop_nodes():
+    g, scores = polarized_graph(6, p_out=0.01)
+    victims = [x for x in g.ids if x.endswith("0")][:4]
+    want = assortativity_report(g, scores, n_perm=200, seed=0, drop_nodes=victims)
+    got = assortativity_report(g, scores, n_perm=200, seed=0,
+                               drop_nodes=["no-such-account", *victims, ""])
+    assert got.to_json_dict() == want.to_json_dict()
+    alone = assortativity_report(g, scores, n_perm=200, seed=0,
+                                 drop_nodes=["no-such-account"])
+    full = assortativity_report(g, scores, n_perm=200, seed=0)
+    assert alone.to_json_dict() == full.to_json_dict()

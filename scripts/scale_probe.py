@@ -8,7 +8,10 @@ within-bloc and 0.5 cross-bloc retweet partners per account (the default
 25,000 per bloc gives the 50k-account probe). The report runs in a child
 interpreter, `python -m rtpol report`, with gammas 1.0,5.0, n_perm 2000
 and the keyword #Charlottesville. The script prints each stage's seconds
-from the report's manifest, the report's wall time and its peak RSS.
+from the report's manifest, the report's wall time and its peak RSS, then
+the Louvain k and Q and the Infomap k and description length from the
+report's communities.json, so a change that moves partitions shows its
+objectives from the same run.
 
 The peak RSS is the report child's own `ru_maxrss`, from `os.wait4`.
 Linux carries a process's resident high-water mark through `exec`, so a
@@ -85,6 +88,10 @@ def probe(n_per_bloc: int, work: Path) -> int:
         print(f"{stage['name']:<14}{stage['seconds']:9.2f} s")
     print(f"{'report wall':<14}{wall:9.2f} s")
     print(f"{'peak RSS':<14}{usage.ru_maxrss / 1024.0:9.1f} MB")
+    found = json.loads((work / "out" / "communities.json").read_text("utf-8"))
+    print(f"{'louvain':<14}k {found['louvain']['k']}  Q {found['louvain']['modularity']:.6f}")
+    print(f"{'infomap':<14}k {found['infomap']['k']}  "
+          f"{found['infomap']['description_length_bits']:.6f} bits")
     return 0
 
 

@@ -118,6 +118,8 @@ def _cmd_score(args) -> None:
 
 
 def _cmd_communities(args) -> None:
+    if args.profiles_out and not args.scores:
+        raise InputError("--profiles-out requires --scores")
     g = read_graph(args.edges)
     if args.method == "louvain":
         part = louvain(g, ModularityParams(gamma=args.gamma), seed=args.seed)
@@ -126,18 +128,16 @@ def _cmd_communities(args) -> None:
     prov = f"method={args.method} gamma={args.gamma} tau={args.tau} seed={args.seed}"
     write_partition(args.out, g, part, prov)
     if args.profiles_out:
-        if not args.scores:
-            raise InputError("--profiles-out requires --scores")
         node_scores = node_score_array(parse_scores_csv(args.scores), g.ids)
         write_profiles(args.profiles_out, part, node_scores, prov)
 
 
 def _cmd_centrality(args) -> None:
+    if args.measure == "moddeg" and not args.partition:
+        raise InputError("--measure moddeg requires --partition")
     g = read_graph(args.edges)
     prov = f"measure={args.measure} damping={args.damping}"
     if args.measure == "moddeg":
-        if not args.partition:
-            raise InputError("--measure moddeg requires --partition")
         comm_of = parse_partition_csv(args.partition)
         try:
             assignment = [comm_of[ext] for ext in g.ids]
@@ -157,13 +157,13 @@ def _cmd_centrality(args) -> None:
 
 
 def _cmd_assort(args) -> None:
+    if args.drop_media_accounts and not args.followership:
+        raise InputError("--drop-media-accounts requires --followership "
+                         "to name the media accounts")
     g = read_graph(args.edges)
     node_scores = node_score_array(parse_scores_csv(args.scores), g.ids)
     drop: tuple[str, ...] = ()
     if args.drop_media_accounts:
-        if not args.followership:
-            raise InputError("--drop-media-accounts requires --followership "
-                             "to name the media accounts")
         matrix, _ = parse_followership(args.followership)
         drop = matrix.media
     report = assortativity_report(g, node_scores, n_perm=args.permutations,

@@ -19,22 +19,23 @@ its position in the level's seeded order, so ids are tie-break ranks that
 renumbering nodes cannot change; ids minted later (n, n+1, ...) rank after
 them. The level takes its nodes from a queue that starts in label order,
 moving each to its best neighbouring module; a node that moves queues its
-neighbours outside its new module, and the level ends when the queue is
-empty (the Leiden "fast local move", Traag et al. 2019). The modules then
-become the supernodes of the next level, until a level ends with as many
-modules as nodes. Every move improves the objective, so the result is
-never worse than the start. The driver owns the start labels, the queue
-and the relabelling. Each objective is a level class that holds only what
-its four members read:
+neighbours outside its new module, in id order, and the level ends when
+the queue is empty (the Leiden "fast local move", Traag et al. 2019). The
+modules then become the supernodes of the next level, until a level ends
+with as many modules as nodes. Every move improves the objective, so the
+result is never worse than the start. The driver owns the start labels,
+the queue and the relabelling. Each objective is a level class that holds
+only what its four members read:
 
 - `n`, the number of (super)nodes of the level;
+- `sym`, the symmetric weights or flows between distinct nodes, as CSR
+  with sorted indices: row v lists the neighbours the queue takes;
 - `mover(comm)`, which returns `move(v) -> bool` from start labels `comm`
   in range(n), repeats allowed. A call moves node v to the best of its
   neighbours' modules, tried in id order (a kernel may open a new module),
   writes it to `comm[v]`, and reports whether v changed module;
-- `neighbours()`, (indptr, indices) CSR pairs whose rows list v's neighbours;
-- `aggregate(labels, k)`, which returns the next level, whose k nodes are
-  the modules given by `labels`.
+- `aggregate(labels, k)`, the next level, whose k nodes are the modules of
+  `labels` and whose `sym` is P' sym P (P: membership) less the diagonal.
 
 `comm` is a list and the kernels read level arrays through memoryviews,
 whose items are plain ints and floats: boxing a numpy scalar per access
@@ -175,6 +176,20 @@ def _csr_views(mat: sparse.csr_matrix) -> tuple[memoryview, memoryview, memoryvi
     return memoryview(mat.indptr), memoryview(mat.indices), memoryview(mat.data)
 
 
+def _drop_diagonal(mat: sparse.spmatrix) -> sparse.csr_matrix:
+    """`mat` as CSR without its diagonal, indices sorted."""
+    out = (mat - sparse.diags(mat.diagonal())).tocsr()
+    out.sort_indices()
+    return out
+
+
+def _coarsen(sym: sparse.csr_matrix, labels: np.ndarray, k: int) -> sparse.csr_matrix:
+    """P' sym P for the n x k membership matrix P of `labels`."""
+    member = sparse.csr_matrix((np.ones(labels.size), labels, np.arange(labels.size + 1)),
+                               shape=(labels.size, k))
+    return member.T @ sym @ member
+
+
 def _multilevel(level, seed: int, start: Sequence[int] | None,
                 tag: int) -> Partition:
     """Greedy move-and-aggregate search over a chain of levels, each moving
@@ -197,7 +212,7 @@ def _multilevel(level, seed: int, start: Sequence[int] | None,
         order = np.argsort(labels, kind="stable")
         comm = labels.tolist()
         move = level.mover(comm)
-        csrs = level.neighbours()
+        indptr, indices, _ = _csr_views(level.sym)
         queue = deque(order.tolist())
         queued = bytearray(b"\x01") * n
         visits = moves = 0
@@ -209,11 +224,10 @@ def _multilevel(level, seed: int, start: Sequence[int] | None,
                 continue
             moves += 1
             cv = comm[v]
-            for indptr, indices in csrs:
-                for u in indices[indptr[v]:indptr[v + 1]]:
-                    if not queued[u] and comm[u] != cv:
-                        queued[u] = 1
-                        queue.append(u)
+            for u in indices[indptr[v]:indptr[v + 1]]:
+                if not queued[u] and comm[u] != cv:
+                    queued[u] = 1
+                    queue.append(u)
         labels, k = _compact_by_order(np.array(comm, dtype=np.int64), order)
         _log.debug("level %(depth)d: n=%(n)d visits=%(visits)d moves=%(moves)d"
                    " k=%(k)d", {"depth": depth, "n": n, "visits": visits,
@@ -232,18 +246,15 @@ def _multilevel(level, seed: int, start: Sequence[int] | None,
 
 class _ModularityLevel:
     """One Louvain level: `sym`, the weights A + A' between distinct
-    supernodes with indices sorted (the queue takes neighbours in column
-    order), their in- and out-strengths, and gamma over the graph's total
-    weight. The next level's `sym` is P' sym P for the membership matrix
-    P; the weights are integer counts that `build_graph` bounds by 2**53
-    in total, so each sum is exact in any order.
+    supernodes, their in- and out-strengths, and gamma over the graph's
+    total weight. The weights are integer counts that `build_graph` bounds
+    by 2**53 in total, so each sum of P' sym P is exact in any order.
     """
 
-    def __init__(self, sym: sparse.csr_matrix, win: np.ndarray,
+    def __init__(self, sym: sparse.spmatrix, win: np.ndarray,
                  wout: np.ndarray, gamma_w: float):
         self.n = sym.shape[0]
-        self.sym = (sym - sparse.diags(sym.diagonal())).tocsr()  # drops the diagonal
-        self.sym.sort_indices()
+        self.sym = _drop_diagonal(sym)
         self.win, self.wout, self.gamma_w = win, wout, gamma_w
 
     @classmethod
@@ -285,13 +296,8 @@ class _ModularityLevel:
 
         return move
 
-    def neighbours(self) -> tuple[tuple[memoryview, memoryview], ...]:
-        return (_csr_views(self.sym)[:2],)
-
     def aggregate(self, labels: np.ndarray, k: int) -> "_ModularityLevel":
-        member = sparse.csr_matrix((np.ones(self.n), labels, np.arange(self.n + 1)),
-                                   shape=(self.n, k))
-        return _ModularityLevel(member.T @ self.sym @ member,
+        return _ModularityLevel(_coarsen(self.sym, labels, k),
                                 np.bincount(labels, weights=self.win, minlength=k),
                                 np.bincount(labels, weights=self.wout, minlength=k),
                                 self.gamma_w)
@@ -303,8 +309,10 @@ def louvain(g: RetweetGraph, params: ModularityParams = ModularityParams(),
 
     Starts from singletons in seeded order, or from the labels `start`: n
     integers in range(n), repeats allowed, whose nodes level 0 visits in
-    label order. Every move raises Q, so the returned partition never
-    scores below its start.
+    label order. Every move raises Q, so the result never scores below its
+    start; but nodes leave a start's module one at a time, so it is never
+    split in two: on two disjoint 3-cycles `start=[0] * 6` comes back as
+    one module, here and from `infomap`.
     """
     if g.w == 0:
         raise DegenerateInputError("cannot optimize modularity on a graph with no edges")
@@ -331,13 +339,8 @@ def _build_flows(g: RetweetGraph, params: MapEquationParams,
     """
     p = stationary_visit_rates(g, 1.0 - params.tau)
     out = g.out_strength.astype(np.float64)
-    flows = np.zeros(g.n_edges)
-    if g.n_edges:
-        flows = p[g.sources] * (1.0 - params.tau) * g.counts / out[g.sources]
-    dangling = np.zeros(g.n)
-    mask = out == 0
-    dangling[mask] = p[mask] * (1.0 - params.tau)
-    return p, flows, dangling
+    flows = p[g.sources] * (1.0 - params.tau) * g.counts / out[g.sources]
+    return p, flows, np.where(out == 0, p * (1.0 - params.tau), 0.0)
 
 
 def map_equation(g: RetweetGraph, partition: Partition,
@@ -366,42 +369,47 @@ def map_equation(g: RetweetGraph, partition: Partition,
 
 
 class _FlowLevel:
-    """Supernode flow state for one aggregation level of the map equation.
-
-    Each supernode carries its visit mass, its unrecorded dangling rate,
-    and the number of original nodes it stands for; link flows between
-    distinct supernodes are held in CSR/CSC form (no move reads the flow
-    within one). The mover's per-module lists always end with one empty
-    module: a node opens a new module by taking it, which appends the next
-    empty one.
+    """One Infomap level: `sym`, the link flow F + F' between distinct
+    supernodes (a move reads F only through that sum), and per supernode
+    its exit flow (link flow to the others), visit mass, unrecorded
+    dangling rate and number of original nodes. The next level's exit flow
+    is its members' less half the diagonal of P' sym P, the flow between
+    them. The mover's per-module lists end with one empty module: a node
+    opens a new module by taking it, which appends the next empty one.
     """
 
-    def __init__(self, n_orig: int, p: np.ndarray, umass: np.ndarray,
-                 sizes: np.ndarray, from_idx: np.ndarray, to_idx: np.ndarray,
-                 flow: np.ndarray):
-        self.n_orig = n_orig
+    def __init__(self, sym: sparse.spmatrix, exit_flow: np.ndarray, p: np.ndarray,
+                 umass: np.ndarray, sizes: np.ndarray):
         self.n = p.size
-        self.p, self.umass, self.sizes = p, umass, sizes
-        off = from_idx != to_idx
-        mat = sparse.csr_matrix((flow[off], (from_idx[off], to_idx[off])),
-                                shape=(self.n, self.n))  # sums duplicate pairs
-        self.out_mat = mat
-        self.in_mat = mat.T.tocsr()
-        self.out_total = np.asarray(mat.sum(axis=1)).ravel()
+        self.sym = _drop_diagonal(sym)
+        self.exit_flow, self.p, self.umass, self.sizes = exit_flow, p, umass, sizes
+
+    @classmethod
+    def of_graph(cls, g: RetweetGraph, params: MapEquationParams) -> "_FlowLevel":
+        """Level 0: the edges are stored in the CSR order of
+        `g.adjacency()`, so their flows are data for its index arrays."""
+        p, flows, dangling = _build_flows(g, params)
+        a = g.adjacency()
+        f_t = sparse.csr_matrix((flows, a.indices, a.indptr), shape=a.shape)
+        exit_flow = np.bincount(g.sources, flows * (g.sources != g.targets), g.n)
+        return cls(f_t + f_t.T, exit_flow, p, dangling, np.ones(g.n))
 
     def mover(self, comm: list[int]) -> Callable[[int], bool]:
-        n_orig = self.n_orig
-        out_total, p, umass, sizes = map(memoryview, (self.out_total, self.p,
+        n_orig = float(self.sizes.sum())  # exact: the sizes are integers
+        exit_flow, p, umass, sizes = map(memoryview, (self.exit_flow, self.p,
                                                       self.umass, self.sizes))
-        out_ptr, out_idx, out_dat = _csr_views(self.out_mat)
-        in_ptr, in_idx, in_dat = _csr_views(self.in_mat)
-        # per module: link exit flow (out-flow that leaves it), dangling rate,
-        # size, visit mass, exit rate q_m and term -2 plogp(q_m) + plogp(q_m + p_m)
-        labels, coo = np.asarray(comm), self.out_mat.tocoo()
-        leave = self.out_total - np.bincount(
-            coo.row, coo.data * (labels[coo.row] == labels[coo.col]), self.n)
-        ql, um, sz, pm = (np.bincount(comm, weights=a, minlength=self.n).tolist() + [0.0]
-                          for a in (leave, self.umass, self.sizes, self.p))
+        indptr, indices, data = _csr_views(self.sym)
+        # per module: link exit flow (members' exit flow less the flow
+        # between them, held in the rows of modules with 2+ members), dangling
+        # rate, size, visit mass, exit rate q_m and -2 plogp(q_m) + plogp(q_m + p_m)
+        labels = np.asarray(comm)
+        shared = np.flatnonzero(np.bincount(labels)[labels] > 1)
+        rows = self.sym[shared].tocoo()
+        mod = labels[shared[rows.row]]
+        binned = [np.bincount(labels, a, self.n)
+                  for a in (self.exit_flow, self.umass, self.sizes, self.p)]
+        binned[0] -= np.bincount(mod, rows.data * (mod == labels[rows.col]), self.n) / 2
+        ql, um, sz, pm = (a.tolist() + [0.0] for a in binned)
         qm = [ql[c] + um[c] * (n_orig - sz[c]) / n_orig for c in range(self.n + 1)]
         q_total = float(sum(qm[c] for c in dict.fromkeys(comm)))  # once per module
         tm = [-2.0 * _plogp(q) + _plogp(q + m) for q, m in zip(qm, pm)]
@@ -410,28 +418,19 @@ class _FlowLevel:
         def move(v: int) -> bool:
             nonlocal q_total
             cv = comm[v]
-            # link flow between v and each neighbouring module
-            to_mod: dict[int, float] = {}
-            from_mod: dict[int, float] = {}
-            for e in range(out_ptr[v], out_ptr[v + 1]):
-                c = comm[out_idx[e]]
-                to_mod[c] = to_mod.get(c, 0.0) + out_dat[e]
-            for e in range(in_ptr[v], in_ptr[v + 1]):
-                c = comm[in_idx[e]]
-                from_mod[c] = from_mod.get(c, 0.0) + in_dat[e]
-            out_v = out_total[v]
-            p_v = p[v]
-            u_v = umass[v]
-            sz_v = sizes[v]
+            # link flow between v and each neighbouring module, both ways
+            link: dict[int, float] = {}
+            for e in range(indptr[v], indptr[v + 1]):
+                c = comm[indices[e]]
+                link[c] = link.get(c, 0.0) + data[e]
+            out_v, p_v, u_v, sz_v = exit_flow[v], p[v], umass[v], sizes[v]
 
             # state of the current module once v is taken out
             q_a = qm[cv]
-            ql_a2 = ql[cv] - (out_v - to_mod.get(cv, 0.0)) + from_mod.get(cv, 0.0)
-            um_a2 = um[cv] - u_v
-            sz_a2 = sz[cv] - sz_v
-            pm_a2 = pm[cv] - p_v
+            ql_a2 = ql[cv] - out_v + link.get(cv, 0.0)
+            um_a2, sz_a2, pm_a2 = um[cv] - u_v, sz[cv] - sz_v, pm[cv] - p_v
             q_a2 = t_a2 = 0.0
-            candidates = sorted(set(to_mod) | set(from_mod))
+            candidates = sorted(link)
             if sz_a2 > 0.5:
                 # v is not alone: the trailing empty module is tried last
                 q_a2 = ql_a2 + um_a2 * (n_orig - sz_a2) / n_orig
@@ -441,12 +440,11 @@ class _FlowLevel:
             q_rest = q_total - q_a
             plogp_total = _plogp(q_total)
 
-            best = None
-            best_delta = 0.0
+            best, best_delta = None, 0.0
             for c in candidates:
                 if c == cv:
                     continue
-                ql_b2 = ql[c] + (out_v - to_mod.get(c, 0.0)) - from_mod.get(c, 0.0)
+                ql_b2 = ql[c] + out_v - link.get(c, 0.0)
                 q_b2 = ql_b2 + (um[c] + u_v) * (n_orig - (sz[c] + sz_v)) / n_orig
                 q_tot2 = q_rest - qm[c] + q_a2 + q_b2
                 t_b2 = -2.0 * _plogp(q_b2) + _plogp(q_b2 + (pm[c] + p_v))
@@ -470,16 +468,13 @@ class _FlowLevel:
 
         return move
 
-    def neighbours(self) -> tuple[tuple[memoryview, memoryview], ...]:
-        return (_csr_views(self.out_mat)[:2], _csr_views(self.in_mat)[:2])
-
     def aggregate(self, labels: np.ndarray, k: int) -> "_FlowLevel":
-        coo = self.out_mat.tocoo()
-        return _FlowLevel(self.n_orig,
-                          np.bincount(labels, weights=self.p, minlength=k),
-                          np.bincount(labels, weights=self.umass, minlength=k),
-                          np.bincount(labels, weights=self.sizes, minlength=k),
-                          labels[coo.row], labels[coo.col], coo.data)
+        coarse = _coarsen(self.sym, labels, k)
+        return _FlowLevel(coarse,
+                          np.bincount(labels, weights=self.exit_flow, minlength=k)
+                          - coarse.diagonal() / 2,
+                          *(np.bincount(labels, weights=a, minlength=k)
+                            for a in (self.p, self.umass, self.sizes)))
 
 
 def infomap(g: RetweetGraph, params: MapEquationParams = MapEquationParams(),
@@ -487,14 +482,12 @@ def infomap(g: RetweetGraph, params: MapEquationParams = MapEquationParams(),
     """Greedy two-level map-equation minimization.
 
     Starts from singletons in seeded order, or from the labels `start` as
-    in `louvain`. Every move shortens the description length, so the
-    result never codes worse than its start.
+    in `louvain`, whose limit it shares. Every move shortens the
+    description length, so the result never codes worse than its start.
     """
     if g.n == 0:
         raise InputError("graph has no nodes")
-    p, flows, dangling = _build_flows(g, params)
-    level = _FlowLevel(g.n, p, dangling, np.ones(g.n), g.sources, g.targets, flows)
-    return _multilevel(level, seed, start, tag=1)
+    return _multilevel(_FlowLevel.of_graph(g, params), seed, start, tag=1)
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,9 @@ class EdgeRecord:
 class RetweetGraph:
     """Aggregated directed weighted graph over densely indexed nodes.
 
-    Edge arrays are kept sorted by (target, source) and hold one entry per
-    distinct node pair. `ids` maps indices to external account ids, each
-    held once.
+    Edge arrays are kept sorted by (target, source), the CSR order of
+    `adjacency()`, with one entry per distinct pair of nodes in range(n)
+    (else `InputError`). `ids` maps indices to external ids, held once.
     """
 
     def __init__(self, ids: Sequence[str], targets: np.ndarray,
@@ -46,10 +46,15 @@ class RetweetGraph:
         # an induced subgraph arrives with its (target, source) keys strictly
         # increasing already, and then skips the sort
         dt, ds = np.diff(t), np.diff(s)
-        order = (slice(None) if np.all((dt > 0) | ((dt == 0) & (ds > 0)))
-                 else np.lexsort((s, t)))
+        presorted = np.all((dt > 0) | ((dt == 0) & (ds > 0)))
+        order = slice(None) if presorted else np.lexsort((s, t))
         self.targets, self.sources = t[order], s[order]
         self.counts = np.asarray(counts, dtype=np.int64)[order]
+        if not presorted and np.any((np.diff(self.targets) == 0)
+                                    & (np.diff(self.sources) == 0)):
+            raise InputError("repeated (target, source) pair")
+        if t.size and (min(t.min(), s.min()) < 0 or max(t.max(), s.max()) >= self.n):
+            raise InputError(f"node indices must lie in range({self.n})")
         if self.counts.size and self.counts.min() < 1:
             raise InputError("aggregated edge weights must be positive")
         self.in_strength = np.bincount(self.targets, weights=self.counts,

@@ -394,6 +394,24 @@ def aggregate_pairs(targets, sources, weights, labels, k: int):
     return uniq // k, uniq % k, np.bincount(inv, weights=weights)
 
 
+def flow_level_pairs(n: int, from_idx, to_idx, flow):
+    """(out_mat, out_total) of an Infomap level given as a directed flow
+    pair list, built the way `_FlowLevel` built every level before it held
+    one symmetric matrix: the pairs between distinct supernodes as CSR from
+    COO, duplicates summed, and each row's sum as the supernode's exit flow.
+    """
+    off = from_idx != to_idx
+    mat = sparse.csr_matrix((flow[off], (from_idx[off], to_idx[off])), shape=(n, n))
+    return mat, np.asarray(mat.sum(axis=1)).ravel()
+
+
+def aggregate_flow_pairs(out_mat, labels):
+    """Directed flow pair list of the next Infomap level: each entry of
+    `out_mat` between the modules of its two nodes."""
+    coo = out_mat.tocoo()
+    return labels[coo.row], labels[coo.col], coo.data
+
+
 def random_graph(rng: np.random.Generator, n_max: int = 10,
                  ensure_edge: bool = True) -> RetweetGraph:
     """Small random directed weighted graph for oracle sweeps."""

@@ -389,7 +389,7 @@ PINNED = {
     "bundle/louvain/gamma=5.0/seed=0": "34822ed7a324a1eb",
     "bundle/louvain/gamma=5.0/seed=7": "6d2063a248e2a0b2",
     "bundle/louvain/gamma=5.0/fixed": "8bcf34ded0d77386",
-    "bundle/infomap/seed=0": "d1a639b3258605f0",
+    "bundle/infomap/seed=0": "b89b3f02d8fe1ccd",
     "bundle/infomap/seed=7": "20b82730f4f5e49f",
     "bundle/infomap/fixed": "afce017ca077d495",
 }
@@ -469,9 +469,8 @@ def test_each_move_improves_the_recomputed_objective():
         n, edges, visits, perm, grouped = case
         g = build_graph([EdgeRecord(f"v{t}", f"v{s}", c) for t, s, c in edges],
                         nodes=[f"v{i}" for i in range(n)])
-        p, flows, dangling = _build_flows(g, MapEquationParams())
         levels = (
-            (_FlowLevel(g.n, p, dangling, np.ones(g.n), g.sources, g.targets, flows),
+            (_FlowLevel.of_graph(g, MapEquationParams()),
              lambda comm: -map_equation(g, Partition.from_labels(comm))),
             (_ModularityLevel.of_graph(g, 1.0),
              lambda comm: modularity(g, Partition.from_labels(comm))),
@@ -519,6 +518,44 @@ def test_modularity_levels_match_the_directed_pair_oracle():
             labels, k = orc.relabel_first_appearance(drawn, range(level.n))
             labels = np.array(labels, dtype=np.int64)
             pairs = orc.aggregate_pairs(*pairs, labels, k)
+            level = level.aggregate(labels, k)
+
+    check()
+
+
+def test_flow_levels_match_the_directed_pair_oracle():
+    """Level 0 and two aggregations over random labels hold the flows that
+    the directed pair list of each level gives (`oracles.flow_level_pairs`):
+    `sym` has the pattern of F + F' and its values, the exit flow is F's row
+    sums, and p, umass and sizes are equal. The flows are float sums taken
+    in another order, so they agree to rtol 1e-12; an exit flow is a
+    difference of sums, so it also gets an atol of 1e-15 (the total link
+    flow is below 1), for modules that the walk never leaves."""
+    @settings(max_examples=150, deadline=None)
+    @given(graphs_and_visits(), st.data())
+    def check(case, data):
+        n, edges, _, _, _ = case
+        g = build_graph([EdgeRecord(f"v{t}", f"v{s}", c) for t, s, c in edges],
+                        nodes=[f"v{i}" for i in range(n)])
+        level = _FlowLevel.of_graph(g, MapEquationParams())
+        p, flows, dangling = _build_flows(g, MapEquationParams())
+        nodes, pairs = (p, dangling, np.ones(g.n)), (g.sources, g.targets, flows)
+        for _ in range(3):
+            out_mat, out_total = orc.flow_level_pairs(level.n, *pairs)
+            both = (out_mat + out_mat.T).tocsr()
+            both.sort_indices()
+            np.testing.assert_array_equal(level.sym.indptr, both.indptr)
+            np.testing.assert_array_equal(level.sym.indices, both.indices)
+            np.testing.assert_allclose(level.sym.data, both.data, rtol=1e-12)
+            np.testing.assert_allclose(level.exit_flow, out_total, rtol=1e-12, atol=1e-15)
+            for got, want in zip((level.p, level.umass, level.sizes), nodes):
+                np.testing.assert_array_equal(got, want)
+            drawn = data.draw(st.lists(st.integers(0, level.n - 1),
+                                       min_size=level.n, max_size=level.n))
+            labels, k = orc.relabel_first_appearance(drawn, range(level.n))
+            labels = np.array(labels, dtype=np.int64)
+            nodes = tuple(np.bincount(labels, weights=a, minlength=k) for a in nodes)
+            pairs = orc.aggregate_flow_pairs(out_mat, labels)
             level = level.aggregate(labels, k)
 
     check()

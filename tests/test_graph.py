@@ -173,6 +173,25 @@ def test_unsorted_edge_arrays_come_out_sorted():
         assert np.array_equal(getattr(same, name), getattr(g, name))
 
 
+def test_edge_indices_outside_the_node_range_rejected():
+    """An index past the last node would give in-strength more than n
+    entries, and a negative one would reach `np.bincount` as a ValueError;
+    both the presorted path and the path that sorts reject them."""
+    for targets, sources in (([5], [0]), ([0], [-1]), ([1, 0], [0, 2]), ([-1, 0], [0, 0])):
+        with pytest.raises(InputError, match=r"range\(2\)"):
+            RetweetGraph(["a", "b"], targets, sources, [1] * len(targets))
+    with pytest.raises(InputError, match=r"range\(1\)"):
+        RetweetGraph(["a"], [5], [0], [1])
+
+
+def test_repeated_edge_pairs_rejected():
+    """A pair given twice would be kept twice, so `n_edges` would disagree
+    with the adjacency, which stores it once."""
+    for targets, sources in (([0, 0], [1, 1]), ([1, 0, 1], [0, 1, 0])):
+        with pytest.raises(InputError, match="repeated"):
+            RetweetGraph(["a", "b"], targets, sources, [1] * len(targets))
+
+
 def test_induced_subgraph_rejects_out_of_range_indices():
     g = build_graph([EdgeRecord("a", "b"), EdgeRecord("b", "c")])
     for keep in ([-1], [0, g.n]):

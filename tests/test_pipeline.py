@@ -555,9 +555,15 @@ def test_scale_probe_script_runs_at_small_size(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0].startswith("inputs: 400 accounts")
-    assert [line.split()[0] for line in lines[1:-2]] == list(STAGES)
-    assert lines[-1].startswith("peak RSS") and lines[-1].endswith(" MB")
-    assert float(lines[-1].split()[-2]) > 0
+    assert [line.split()[0] for line in lines[1:-4]] == list(STAGES)
+    assert lines[-3].startswith("peak RSS") and lines[-3].endswith(" MB")
+    assert float(lines[-3].split()[-2]) > 0
+    found = json.loads((tmp_path / "out" / "communities.json").read_text())
+    louvain, infomap = found["louvain"], found["infomap"]
+    assert lines[-2].split() == ["louvain", "k", str(louvain["k"]),
+                                 "Q", f"{louvain['modularity']:.6f}"]
+    assert lines[-1].split() == ["infomap", "k", str(infomap["k"]),
+                                 f"{infomap['description_length_bits']:.6f}", "bits"]
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["status"] == "complete"
     assert manifest["params"]["n_perm"] == 2000
@@ -632,6 +638,38 @@ def test_cli_rejects_non_finite_parameters(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err, argv
     assert not (tmp_path / "out.csv").exists()
+
+
+def _check_combination_rejected(tmp_path, capsys, argv, message):
+    """`argv` exits 1 naming the missing option, both when its edge list
+    exists and when it does not (so the check comes before any read), and
+    leaves no output file behind."""
+    ring = tmp_path / "ring.tsv"
+    ring.write_text("a\tb\nb\tc\nc\ta\n")
+    for edges in (ring, tmp_path / "nope.tsv"):
+        assert main([argv[0], "--edges", str(edges), *argv[1:],
+                     "--out", str(tmp_path / "out.csv")]) == 1
+        assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ring.tsv"]
+
+
+def test_cli_profiles_out_without_scores_writes_nothing(tmp_path, capsys):
+    _check_combination_rejected(
+        tmp_path, capsys, ["communities", "--profiles-out", str(tmp_path / "prof.csv")],
+        "--profiles-out requires --scores")
+
+
+def test_cli_moddeg_without_partition_writes_nothing(tmp_path, capsys):
+    _check_combination_rejected(
+        tmp_path, capsys, ["centrality", "--measure", "moddeg"],
+        "--measure moddeg requires --partition")
+
+
+def test_cli_drop_media_without_followership_writes_nothing(tmp_path, capsys):
+    scores = tmp_path / "scores.csv"
+    _check_combination_rejected(
+        tmp_path, capsys, ["assort", "--scores", str(scores), "--drop-media-accounts"],
+        "--drop-media-accounts requires --followership")
 
 
 def test_cli_exit_codes(tmp_path, capsys):

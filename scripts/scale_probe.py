@@ -1,6 +1,6 @@
 """Scale probe: one `rtpol report` on a 50k-account benchmark graph.
 
-    python3 scripts/scale_probe.py [--n-per-bloc N] [--work DIR]
+    python3 scripts/scale_probe.py [--n-per-bloc N] [--work DIR] [--json PATH]
 
 Run from anywhere. The probe's inputs come from `perfbench/gen.py` (seed 1,
 instance 0) with two blocs of `--n-per-bloc` accounts, 10 expected
@@ -11,7 +11,9 @@ and the keyword #Charlottesville. The script prints each stage's seconds
 from the report's manifest, the report's wall time and its peak RSS, then
 the Louvain k and Q and the Infomap k and description length from the
 report's communities.json, so a change that moves partitions shows its
-objectives from the same run.
+objectives from the same run. `--json PATH` also writes those numbers as one
+JSON record, with the commit of the checkout (`git rev-parse HEAD`, null
+outside a git work tree).
 
 The peak RSS is the report child's own `ru_maxrss`, from `os.wait4`.
 Linux carries a process's resident high-water mark through `exec`, so a
@@ -47,16 +49,28 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--work", type=Path,
                         help="directory for inputs and report (default: a "
                              "temporary directory, removed afterwards)")
+    parser.add_argument("--json", type=Path,
+                        help="also write the numbers printed as a JSON record")
     args = parser.parse_args(argv)
     if args.n_per_bloc < 1:
         parser.error("--n-per-bloc must be at least 1")
     if args.work is None:
         with tempfile.TemporaryDirectory(prefix="rtpol-probe-") as tmp:
-            return probe(args.n_per_bloc, Path(tmp))
-    return probe(args.n_per_bloc, args.work)
+            return probe(args.n_per_bloc, Path(tmp), args.json)
+    return probe(args.n_per_bloc, args.work, args.json)
 
 
-def probe(n_per_bloc: int, work: Path) -> int:
+def commit() -> str | None:
+    """HEAD of the checkout, or None outside a git work tree."""
+    try:
+        proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT,
+                              capture_output=True, text=True)
+    except OSError:  # no git
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def probe(n_per_bloc: int, work: Path, record: Path | None = None) -> int:
     spec = GraphSpec(n_per_bloc=n_per_bloc, p_in=10 / n_per_bloc,
                      p_out=0.5 / n_per_bloc)
     start = time.perf_counter()
@@ -84,14 +98,25 @@ def probe(n_per_bloc: int, work: Path) -> int:
         print(f"report failed with exit code {proc.returncode}", file=sys.stderr)
         return 1
     manifest = json.loads((work / "out" / "manifest.json").read_text("utf-8"))
-    for stage in manifest["stages"]:
-        print(f"{stage['name']:<14}{stage['seconds']:9.2f} s")
+    stages = {stage["name"]: stage["seconds"] for stage in manifest["stages"]}
+    for name, seconds in stages.items():
+        print(f"{name:<14}{seconds:9.2f} s")
+    peak_mb = usage.ru_maxrss / 1024.0
     print(f"{'report wall':<14}{wall:9.2f} s")
-    print(f"{'peak RSS':<14}{usage.ru_maxrss / 1024.0:9.1f} MB")
+    print(f"{'peak RSS':<14}{peak_mb:9.1f} MB")
     found = json.loads((work / "out" / "communities.json").read_text("utf-8"))
-    print(f"{'louvain':<14}k {found['louvain']['k']}  Q {found['louvain']['modularity']:.6f}")
-    print(f"{'infomap':<14}k {found['infomap']['k']}  "
-          f"{found['infomap']['description_length_bits']:.6f} bits")
+    louvain, infomap = found["louvain"], found["infomap"]
+    print(f"{'louvain':<14}k {louvain['k']}  Q {louvain['modularity']:.6f}")
+    print(f"{'infomap':<14}k {infomap['k']}  "
+          f"{infomap['description_length_bits']:.6f} bits")
+    if record is not None:
+        record.write_text(json.dumps({
+            "commit": commit(), "n_per_bloc": n_per_bloc, "stages_s": stages,
+            "report_wall_s": wall, "peak_rss_mb": peak_mb,
+            "louvain_k": louvain["k"], "louvain_q": louvain["modularity"],
+            "infomap_k": infomap["k"],
+            "infomap_bits": infomap["description_length_bits"]},
+            indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return 0
 
 

@@ -43,6 +43,8 @@ class RetweetGraph:
         if len(set(self.ids)) != self.n:
             raise InputError("duplicate external node ids")
         t, s = (np.asarray(x, dtype=np.int64) for x in (targets, sources))
+        if not t.size == s.size == len(counts):
+            raise InputError("targets, sources and counts differ in length")
         # an induced subgraph arrives with its (target, source) keys strictly
         # increasing already, and then skips the sort
         dt, ds = np.diff(t), np.diff(s)

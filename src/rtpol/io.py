@@ -3,9 +3,11 @@
 Edges are tab-separated `retweeted_id<TAB>retweeter_id<TAB>count` lines,
 count optional (default 1), and '#' comments. Followership is a CSV with an
 `account_id` header column, then media labels, and 0/1 cells. Tweets are JSON
-lines with `account`, `utc` (YYYY-MM-DDTHH:MM:SSZ; checked, not kept), `text`;
-records share one string per id and per text. Inputs are UTF-8 (BOM skipped);
-any parse error, bad bytes included, raises InputError with path and line.
+lines with `account`, `utc` (YYYY-MM-DDTHH:MM:SSZ; checked, not kept), `text`:
+one json scanner call per line, `json.loads` and field checks only to name a
+fault, into `TweetRecord` NamedTuples sharing one string per id and per text.
+Inputs are UTF-8 (BOM skipped); any parse error, bad bytes included, raises
+InputError with path and line.
 """
 
 from __future__ import annotations
@@ -13,8 +15,9 @@ from __future__ import annotations
 import csv
 import json
 import re
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from datetime import datetime
+from json.scanner import make_scanner
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -148,11 +151,21 @@ def parse_tweets(path: str | Path) -> list[TweetRecord]:
     path = Path(path)
     out = []
     held: dict[str, str] = {}  # one string per account id and per text
+    hold = held.setdefault
+    scan = make_scanner(json.JSONDecoder())
     with open_utf8(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
+            # any fault here, the scanner's StopIteration included, is named below
+            with suppress(StopIteration, LookupError, TypeError, ValueError, RecursionError):
+                obj, end = scan(line, 0)
+                account, utc, text = obj["account"], obj["utc"], obj["text"]
+                if (end == len(line) and type(account) is type(text) is str and account
+                        and text and datetime.fromisoformat(_UTC_RE.fullmatch(utc)[1])):
+                    out.append(TweetRecord(hold(account, account), hold(text, text)))
+                    continue
             try:
                 obj = json.loads(line)
             except (ValueError, RecursionError) as exc:
@@ -173,7 +186,7 @@ def parse_tweets(path: str | Path) -> list[TweetRecord]:
                                      path=path, line=lineno)
                 if not obj[field]:
                     raise InputError(f"empty {what}", path=path, line=lineno)
-                obj[field] = held.setdefault(obj[field], obj[field])
+                obj[field] = hold(obj[field], obj[field])
             try:  # TypeError: not a string, or not in the UTC_FORMAT form
                 datetime.fromisoformat(_UTC_RE.fullmatch(obj["utc"])[1])
             except (TypeError, ValueError):

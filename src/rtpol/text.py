@@ -9,20 +9,22 @@ Class-discriminating words are ranked by the two-sample chi-square
            ((fL + fR) (fnotL + fnotR) (fL + fnotL) (fR + fnotR))
 
 where fL, fR count token occurrences in the left and right corpus and
-fnotL, fnotR count the remaining tokens of each side.
+fnotL, fnotR count the remaining tokens of each side. `scan_corpus` counts
+by distinct text: int32 token ids per block of texts, summed by sparse products.
 """
 
 from __future__ import annotations
 
 import logging
 import re
+from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import groupby
-from operator import attrgetter
-from typing import Iterable, Mapping, Sequence
+from itertools import count, islice, pairwise
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .errors import InputError
 from .stopwords import DEFAULT_EXTRA_STOPWORDS, ENGLISH_STOPWORDS
@@ -32,11 +34,13 @@ _TOKEN_RE = re.compile(r"[#@]?\w+(?:'\w+)*")
 #: hashtags whose lowercase form contains this are the collection's own tag
 COLLECTION_TAG = "charlottesville"
 _STOPWORDS = ENGLISH_STOPWORDS | DEFAULT_EXTRA_STOPWORDS
+_SIDES = {"left": 0, "right": 1}
+#: distinct texts per block of `scan_corpus`; bounds its token-id arrays
+_BLOCK_TEXTS = 4096
 _log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True, slots=True)
-class TweetRecord:
+class TweetRecord(NamedTuple):
     account: str
     text: str
 
@@ -87,47 +91,68 @@ def remove_stopwords(tokens: Iterable[str]) -> list[str]:
     return [t for t in tokens if t not in _STOPWORDS]
 
 
+def _tally(mult: np.ndarray) -> dict[str, list[int]]:
+    """side -> [tweets, distinct texts] from (2, texts) multiplicities."""
+    return {side: [int(m.sum()), int(np.count_nonzero(m))] for side, m in zip(_SIDES, mult)}
+
+
 def scan_corpus(corpus: Sequence[TweetRecord], classes: Mapping[str, str],
                 community_of: Mapping[str, int] | None,
                 keywords: Iterable[str]) -> CorpusScan:
-    """Read the corpus in runs of one text, each tokenized once. Each tweet of
-    a run feeds its side's word counts (stop words dropped) and, given a
-    `community_of`, its community's hashtags. Per side, a run adds its tweets
-    and one distinct text to the overall counts and to each keyword among its
-    tokens. Tweets with no side are excluded, with no community skipped."""
-    sides = {"left": Counter(), "right": Counter()}
-    hashtags = None if community_of is None else defaultdict(Counter)
-    overall = {side: [0, 0] for side in sides}
-    by_keyword = {kw: {side: [0, 0] for side in sides} for kw in keywords}
-    ids: dict[str, int] = {}  # text -> id, in first-appearance order
-    order = np.argsort(np.fromiter((ids.setdefault(rec.text, len(ids)) for rec in corpus),
-                                   dtype=np.int64, count=len(corpus)), kind="stable")
-    _log.debug("text scan: %d tweets, %d distinct texts", len(corpus), len(ids))
-    del ids
-    skipped = 0
-    for text, run in groupby(map(corpus.__getitem__, order), key=attrgetter("text")):
-        tokens = tokenize(text)
-        kept = remove_stopwords(tokens)
-        tags = [t for t in tokens if t[0] == "#" and COLLECTION_TAG not in t.lower()]
-        run_sides = []  # the side of each of the run's tweets that has one
-        for rec in run:
-            side = classes.get(rec.account)
-            if side in sides:
-                run_sides.append(side)
-                sides[side].update(kept)
-            if hashtags is not None:
-                comm = community_of.get(rec.account)
-                if comm is None:
-                    skipped += 1
-                else:
-                    for tag in tags:
-                        hashtags[int(comm)][tag] += 1
-        for counts in (overall, *(by_keyword[kw] for kw in by_keyword.keys() & tokens)):
-            for side in set(run_sides):
-                counts[side][0] += run_sides.count(side)
-                counts[side][1] += 1
-    excluded = len(corpus) - sum(n for n, _ in overall.values())  # with no side
-    return CorpusScan(sides, excluded, hashtags, skipped, overall, by_keyword)
+    """One pass numbers texts and accounts, in first-appearance order, into
+    (side x text) and (community x text) tweet counts. Each text is then
+    tokenized once into vocabulary ids, `_BLOCK_TEXTS` texts at a time, and
+    those counts @ (text x token) add up word counts (stop words masked) and
+    hashtags (all but counted tags masked); a keyword flags the texts with
+    its id. Tweets with no side are excluded, with no community skipped."""
+    n = len(corpus)  # a one-shot iterator has none
+    text_id, account_id, comm_id, vocab = (defaultdict(count().__next__) for _ in range(4))
+    tid, aid = np.fromiter(((text_id[t], account_id[a]) for a, t in corpus),
+                           np.dtype((np.intc, 2)), n).T
+    _log.debug("text scan: %d tweets, %d distinct texts", n, len(text_id))
+    texts, accounts = list(text_id), list(account_id)
+    del text_id, account_id
+    side = np.fromiter((_SIDES.get(classes.get(a), 2) for a in accounts),
+                       np.int8, len(accounts))[aid]
+    mult = np.stack([np.bincount(tid[side == s], minlength=len(texts)) for s in (0, 1)])
+    groups, comm = [sparse.csc_array(mult)], None  # (group x text) tweet counts
+    if community_of is not None:  # community codes, not ids, index the rows
+        comm = np.fromiter((-1 if (c := community_of.get(a)) is None else comm_id[int(c)]
+                            for a in accounts), np.intc, len(accounts))[aid]
+        groups.append(sparse.csc_array((np.ones(np.count_nonzero(comm >= 0), np.int64),
+                                        (comm[comm >= 0], tid[comm >= 0])),
+                                       shape=(len(comm_id), len(texts))))
+    del tid, aid, side, accounts, comm
+    keep = np.zeros((0, 2), np.int8)  # per token: counted as a word, as a hashtag
+    sums = [sparse.csr_array((g.shape[0], 0), dtype=np.int64) for g in groups]
+    hits = {kw: np.zeros(len(texts), bool) for kw in keywords}
+    for lo in range(0, len(texts), _BLOCK_TEXTS):
+        ids, lengths = array("i"), array("i")  # the block's token ids, and per text
+        for text in texts[lo:lo + _BLOCK_TEXTS]:
+            tokens = tokenize(text)
+            lengths.append(len(tokens))
+            ids.extend(map(vocab.__getitem__, tokens))
+        hi = lo + len(lengths)
+        ids, ends = np.frombuffer(ids, np.intc), np.cumsum(lengths, dtype=np.intc)
+        new = reversed(list(islice(reversed(vocab), len(vocab) - len(keep))))
+        keep = np.concatenate([keep, np.array([(t not in _STOPWORDS, t[0] == "#" and (
+            COLLECTION_TAG not in t.lower())) for t in new], np.int8).reshape(-1, 2)])
+        for i, group in enumerate(groups):  # masked tokens add zeros, which drop out
+            sums[i].resize((group.shape[0], len(vocab)))
+            sums[i] = sums[i] + group[:, lo:hi] @ sparse.csr_array(
+                (keep[ids, i], ids, np.append(np.intc(0), ends)), shape=(hi - lo, len(vocab)))
+        for kw, hit in hits.items():
+            if (kw_id := vocab.get(kw)) is not None:
+                hit[lo + np.searchsorted(ends, np.flatnonzero(ids == kw_id), "right")] = True
+    tokens = list(vocab)
+    bags = [[Counter(dict(zip(map(tokens.__getitem__, m.indices[a:b].tolist()),
+                              m.data[a:b].tolist()))) for a, b in pairwise(m.indptr.tolist())]
+            for m in sums]
+    return CorpusScan(
+        dict(zip(_SIDES, bags[0])), n - int(mult.sum()),  # the excluded have no side
+        None if community_of is None else {c: bag for c, bag in zip(comm_id, bags[1]) if bag},
+        0 if community_of is None else n - int(groups[1].sum()), _tally(mult),
+        {kw: _tally(mult[:, hit]) for kw, hit in hits.items()})
 
 
 def word_counts_by_class(scan: CorpusScan) -> WordCountTable:

@@ -5,23 +5,33 @@ double sums, exhaustive enumeration, textbook entropy formulas. None of it
 shares code with src/, so a disagreement points at exactly one side. The
 text oracles are the exception: they take the tokenizer from src/ (it has
 tests of its own) and scan the corpus once per statistic, as the package
-did before its one-pass `scan_corpus`. The profile oracle likewise takes
+did before its one-pass `scan_corpus`; `scan_corpus_runs` is that one-pass
+scan as it was before it counted token ids by block, and `parse_tweets_loads`
+the tweet reader before its scanner fast path. The profile oracle likewise takes
 the class rule and the Shannon index from src/ and scans the nodes once
 per community, as `community_profiles` did before it grouped by one sort.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import json
+from collections import Counter, defaultdict
+from datetime import datetime
+from itertools import groupby
+from operator import attrgetter
+from pathlib import Path
 
 import numpy as np
 from scipy import sparse
 
 from rtpol.community import CommunityProfile, shannon_diversity
+from rtpol.errors import InputError
 from rtpol.graph import RetweetGraph
+from rtpol.io import _UTC_RE, UTC_FORMAT, open_utf8
 from rtpol.pca import sign_class
 from rtpol.stopwords import DEFAULT_EXTRA_STOPWORDS, ENGLISH_STOPWORDS
-from rtpol.text import COLLECTION_TAG, WordCountTable, tokenize
+from rtpol.text import (COLLECTION_TAG, CorpusScan, TweetRecord, WordCountTable,
+                        remove_stopwords, tokenize)
 
 
 def dense_adjacency(g: RetweetGraph) -> np.ndarray:
@@ -484,4 +494,82 @@ def unique_by_side(corpus, classes) -> dict:
     for side in ("left", "right"):
         texts = [rec.text for rec in corpus if classes.get(rec.account) == side]
         out[side] = [len(texts), len(set(texts))]
+    return out
+
+
+def scan_corpus_runs(corpus, classes, community_of, keywords) -> CorpusScan:
+    """`scan_corpus` by runs of one text: the texts are sorted by first
+    appearance, each is tokenized once, and each of its tweets adds the
+    text's tokens to its side's and its community's Counters."""
+    sides = {"left": Counter(), "right": Counter()}
+    hashtags = None if community_of is None else defaultdict(Counter)
+    overall = {side: [0, 0] for side in sides}
+    by_keyword = {kw: {side: [0, 0] for side in sides} for kw in keywords}
+    ids: dict[str, int] = {}  # text -> id, in first-appearance order
+    order = np.argsort(np.fromiter((ids.setdefault(rec.text, len(ids)) for rec in corpus),
+                                   dtype=np.int64, count=len(corpus)), kind="stable")
+    del ids
+    skipped = 0
+    for text, run in groupby(map(corpus.__getitem__, order), key=attrgetter("text")):
+        tokens = tokenize(text)
+        kept = remove_stopwords(tokens)
+        tags = [t for t in tokens if t[0] == "#" and COLLECTION_TAG not in t.lower()]
+        run_sides = []  # the side of each of the run's tweets that has one
+        for rec in run:
+            side = classes.get(rec.account)
+            if side in sides:
+                run_sides.append(side)
+                sides[side].update(kept)
+            if hashtags is not None:
+                comm = community_of.get(rec.account)
+                if comm is None:
+                    skipped += 1
+                else:
+                    for tag in tags:
+                        hashtags[int(comm)][tag] += 1
+        for counts in (overall, *(by_keyword[kw] for kw in by_keyword.keys() & tokens)):
+            for side in set(run_sides):
+                counts[side][0] += run_sides.count(side)
+                counts[side][1] += 1
+    excluded = len(corpus) - sum(n for n, _ in overall.values())  # with no side
+    return CorpusScan(sides, excluded, hashtags, skipped, overall, by_keyword)
+
+
+def parse_tweets_loads(path) -> list[TweetRecord]:
+    """Tweet JSON lines by `json.loads` per line, each field checked in
+    turn; one string per account id and per text."""
+    path = Path(path)
+    out = []
+    held: dict[str, str] = {}
+    with open_utf8(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                raise InputError(f"invalid JSON: {getattr(exc, 'msg', exc)}",
+                                 path=path, line=lineno) from None
+            if not isinstance(obj, dict):
+                raise InputError("each line must be a JSON object",
+                                 path=path, line=lineno)
+            for field in ("account", "utc", "text"):
+                if field not in obj:
+                    raise InputError(f"missing field {field!r}",
+                                     path=path, line=lineno)
+            for field, what in (("account", "account id"), ("text", "tweet text")):
+                if not isinstance(obj[field], str):
+                    raise InputError(f"{field!r} must be a string, got "
+                                     f"{type(obj[field]).__name__}",
+                                     path=path, line=lineno)
+                if not obj[field]:
+                    raise InputError(f"empty {what}", path=path, line=lineno)
+                obj[field] = held.setdefault(obj[field], obj[field])
+            try:
+                datetime.fromisoformat(_UTC_RE.fullmatch(obj["utc"])[1])
+            except (TypeError, ValueError):
+                raise InputError(f"utc {obj['utc']!r} does not match {UTC_FORMAT}",
+                                 path=path, line=lineno) from None
+            out.append(TweetRecord(obj["account"], obj["text"]))
     return out

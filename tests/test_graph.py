@@ -184,6 +184,14 @@ def test_edge_indices_outside_the_node_range_rejected():
         RetweetGraph(["a"], [5], [0], [1])
 
 
+def test_edge_arrays_of_unequal_length_rejected():
+    """Unequal lengths would reach `np.bincount` as a ValueError, or the
+    presorted path's indexing as an IndexError."""
+    for targets, sources, counts in (([0, 1], [0], [1, 1]), ([1, 0], [0, 1], [1])):
+        with pytest.raises(InputError, match="differ in length"):
+            RetweetGraph(["a", "b"], targets, sources, counts)
+
+
 def test_repeated_edge_pairs_rejected():
     """A pair given twice would be kept twice, so `n_edges` would disagree
     with the adjacency, which stores it once."""

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles as orc
 from rtpol import (EdgeRecord, SyntheticSpec, TweetRecord, build_graph,
                    generate_bundle)
 from rtpol.errors import InputError
@@ -234,6 +235,51 @@ def test_parse_tweets_fuzz_only_input_error_escapes(objects):
     for rec in records:
         assert isinstance(rec.account, str) and rec.account
         assert isinstance(rec.text, str) and rec.text
+
+
+GOOD_UTC = "2017-08-12T15:04:05Z"
+field_values = (st.text(max_size=4) | st.sampled_from(["", "u1", GOOD_UTC])
+                | st.integers() | st.none() | st.booleans()
+                | st.lists(st.integers(), max_size=2))
+# valid tweets, and objects with fields missing, of the wrong type, empty
+# or with a bad utc, in any key order and with other keys
+tweet_lines = st.builds(
+    lambda a, t: json.dumps({"account": a, "utc": GOOD_UTC, "text": t}),
+    st.text(min_size=1, max_size=4), st.text(min_size=1, max_size=6)) | st.dictionaries(
+    st.sampled_from(["account", "utc", "text", "x"]), field_values).map(json.dumps)
+odd_lines = st.sampled_from([
+    "", "  ", "\t", "not json", "{", "[]", "1", '"s"', "null", "\ufeff{}",
+    '{"account": "a", "utc": "%s", "text": "t"} x' % GOOD_UTC,
+    '{"account": "a", "utc": "%s", "text": "t"}}' % GOOD_UTC,
+    '{"account": "a", "utc": "%s", "text": "t", "n": %s}' % (GOOD_UTC, "1" * 5000),
+    "1" * 5000, "[" * 100_000, '{"a": ' * 100_000]) | st.text(max_size=8)
+tweet_files = st.tuples(
+    st.booleans(),
+    st.lists(tweet_lines | tweet_lines.map(lambda line: f" {line}\t") | odd_lines,
+             max_size=6),
+    st.sampled_from(["\n", "\r\n"]))
+
+
+def _parse_outcome(parse, path):
+    try:
+        return parse(path)
+    except InputError as exc:
+        return str(exc), exc.line
+
+
+@given(tweet_files)
+@settings(max_examples=300, deadline=None)
+def test_parse_tweets_matches_the_per_line_loads_reader(file):
+    """The scanner fast path returns today's records, and any line it
+    rejects raises the InputError, message and line, of `json.loads` with
+    each field checked in turn."""
+    bom, lines, newline = file
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "tweets.jsonl"
+        p.write_text("\ufeff" * bom + newline.join(lines) + newline,
+                     encoding="utf-8", newline="")
+        assert _parse_outcome(parse_tweets, p) == _parse_outcome(
+            orc.parse_tweets_loads, p)
 
 
 

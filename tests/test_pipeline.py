@@ -550,8 +550,8 @@ def test_scale_probe_script_runs_at_small_size(tmp_path):
     script = PERFBENCH.parent / "scripts" / "scale_probe.py"
     proc = subprocess.run(
         [sys.executable, "-B", str(script), "--n-per-bloc", "200",
-         "--work", str(tmp_path)], capture_output=True, text=True,
-        env=_child_env())
+         "--work", str(tmp_path), "--json", str(tmp_path / "probe.json")],
+        capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0].startswith("inputs: 400 accounts")
@@ -568,6 +568,15 @@ def test_scale_probe_script_runs_at_small_size(tmp_path):
     assert manifest["status"] == "complete"
     assert manifest["params"]["n_perm"] == 2000
     assert manifest["params"]["gammas"] == [1.0, 5.0]
+    record = json.loads((tmp_path / "probe.json").read_text())
+    assert record["commit"] is None or len(record["commit"]) == 40
+    assert record["n_per_bloc"] == 200
+    assert record["stages_s"] == {s["name"]: s["seconds"] for s in manifest["stages"]}
+    assert record["report_wall_s"] >= sum(record["stages_s"].values())
+    assert f"{record['peak_rss_mb']:.1f}" == lines[-3].split()[-2]
+    assert (record["louvain_k"], record["louvain_q"]) == (louvain["k"], louvain["modularity"])
+    assert (record["infomap_k"], record["infomap_bits"]) == (
+        infomap["k"], infomap["description_length_bits"])
 
 
 def test_import_loads_no_scipy_solver_modules():

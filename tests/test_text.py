@@ -1,6 +1,10 @@
+import json
 import logging
+import tracemalloc
 from collections import Counter
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +15,7 @@ from rtpol import ChiSquareRow, EdgeRecord, MediaScores, TweetRecord, chi_square
 from rtpol import hashtag_top_per_community
 from rtpol import keyword_subset, remove_stopwords, tokenize, unique_fraction
 from rtpol import scan_corpus, word_counts_by_class
+from rtpol.cli import main
 from rtpol.errors import InputError
 from rtpol.pipeline import write_text
 from rtpol.stopwords import DEFAULT_EXTRA_STOPWORDS, ENGLISH_STOPWORDS
@@ -296,17 +301,23 @@ class PassCounter(list):
         return super().__iter__()
 
 
+# any integer may name a community, so none is a row index
+community_ids = st.integers(0, 2) | st.integers(-3, -1) | st.just(10**12)
+
+
 @given(st.lists(tweets, max_size=25) | pooled_corpora,
        st.none() | st.dictionaries(st.sampled_from(ACCOUNTS[:-1]),
-                                   st.integers(0, 2)),
-       st.lists(st.sampled_from(KEYWORDS), unique=True, max_size=4))
+                                   community_ids),
+       st.lists(st.sampled_from(KEYWORDS), unique=True, max_size=4),
+       st.sampled_from([rtpol.text._BLOCK_TEXTS, 1, 3]))
 @settings(max_examples=300, deadline=None)
 def test_scan_corpus_matches_the_per_statistic_scans(corpus, community_of,
-                                                     keywords):
+                                                     keywords, block):
+    # blocks of 1 and 3 texts put runs and keyword hits across block edges
     seen = PassCounter(corpus)
-    scan = scan_corpus(seen, CLASSES, community_of, keywords)
-    # one pass numbers the texts, then runs are read by index, so the
-    # corpus must be a Sequence
+    with mock.patch.object(rtpol.text, "_BLOCK_TEXTS", block):
+        scan = scan_corpus(seen, CLASSES, community_of, keywords)
+    # one pass numbers the texts and accounts; the corpus must have a length
     assert seen.passes == 1
     table = word_counts_by_class(scan)
     want = orc.word_counts_multi_scan(corpus, CLASSES)
@@ -324,6 +335,11 @@ def test_scan_corpus_matches_the_per_statistic_scans(corpus, community_of,
     for kw in keywords:
         assert keyword_subset(scan, kw) == orc.unique_by_side(
             orc.keyword_subset_multi_scan(corpus, kw), CLASSES)
+    runs = orc.scan_corpus_runs(corpus, CLASSES, community_of, keywords)
+    assert (scan.sides, scan.n_excluded_tweets, scan.hashtags, scan.n_skipped_tweets,
+            scan.overall, scan.by_keyword) == (
+        runs.sides, runs.n_excluded_tweets, runs.hashtags, runs.n_skipped_tweets,
+        runs.overall, runs.by_keyword)
 
 
 def test_scan_corpus_rejects_a_one_shot_iterator():
@@ -341,6 +357,61 @@ def test_scan_corpus_logs_its_texts(caplog):
         scan_corpus(corpus, CLASSES, None, ())
     records = [r for r in caplog.records if r.name == "rtpol.text"]
     assert [r.args for r in records] == [(4, 3)]
+
+
+def _traced_peak(scan, *args) -> int:
+    tracemalloc.start()
+    try:
+        scan(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_scan_corpus_memory_stays_near_the_run_scan():
+    """Token ids are held one block of texts at a time: a scan that held the
+    whole corpus's token ids, or its token strings, would pass the run-by-run
+    scan's peak by far more than half."""
+    rng = np.random.default_rng(0)
+    words = [f"w{i}" for i in range(400)] + ["the", "RT", "#Resist", "#Charlottesville"]
+    originals = [" ".join(rng.choice(words, size=12)) + f" #tag{i % 7}"
+                 for i in range(20_000)]
+    accounts = [f"a{i}" for i in range(600)]
+    corpus = [tweet(accounts[i % 600], text) for i, text in enumerate(originals)]
+    corpus += [tweet(accounts[int(j) % 600], f"RT @x: {originals[int(j)]}")
+               for j in rng.integers(len(originals), size=12_000)]
+    classes = {a: ("left", "right", "unclassified")[i % 3] for i, a in enumerate(accounts)}
+    community_of = {a: i % 5 for i, a in enumerate(accounts)}
+    args = (classes, community_of, ("#tag1", "w3"))
+    assert len({rec.text for rec in corpus}) >= 20_000
+    for scan in (scan_corpus, orc.scan_corpus_runs):  # first calls load modules
+        scan(corpus[:50], *args)
+    new = _traced_peak(scan_corpus, corpus, *args)
+    old = _traced_peak(orc.scan_corpus_runs, corpus, *args)
+    assert new <= 1.5 * old, (new, old)
+
+
+def test_cli_text_writes_hashtags_for_any_integer_community(tmp_path):
+    rows = [("a", "#Resist #Resist now"), ("b", "#HoldTheLine"), ("c", "#Resist"),
+            ("a", "#HoldTheLine #Charlottesville"), ("ghost", "#Resist")]
+    tweets_path = tmp_path / "tweets.jsonl"
+    tweets_path.write_text("".join(json.dumps(
+        {"account": a, "utc": "2017-08-12T15:04:05Z", "text": t}) + "\n" for a, t in rows))
+    (tmp_path / "scores.csv").write_text(
+        "account_id,score,class\na,-1.0,left\nb,1.0,right\nc,0.5,right\n")
+    community_of = {"a": -1, "b": 10**12, "c": -1}
+    (tmp_path / "partition.csv").write_text("node_id,community\n" + "".join(
+        f"{node},{comm}\n" for node, comm in community_of.items()))
+    assert main(["text", "--tweets", str(tweets_path),
+                 "--scores", str(tmp_path / "scores.csv"),
+                 "--partition", str(tmp_path / "partition.csv"),
+                 "--out-dir", str(tmp_path / "text")]) == 0
+    top, skipped = orc.hashtag_top_multi_scan([tweet(a, t) for a, t in rows],
+                                              community_of)
+    assert sorted(top) == [-1, 10**12]
+    assert (tmp_path / "text" / "hashtags.csv").read_text().splitlines() == [
+        f"# skipped_tweets={skipped}", "community,hashtag,count",
+        *(f"{c},{tag},{n}" for c, (tag, n) in sorted(top.items()))]
 
 
 def test_write_text_tokenizes_each_distinct_text_once(tmp_path, monkeypatch):

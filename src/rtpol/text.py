@@ -115,14 +115,15 @@ def scan_corpus(corpus: Sequence[TweetRecord], classes: Mapping[str, str],
     side = np.fromiter((_SIDES.get(classes.get(a), 2) for a in accounts),
                        np.int8, len(accounts))[aid]
     mult = np.stack([np.bincount(tid[side == s], minlength=len(texts)) for s in (0, 1)])
-    groups, comm = [sparse.csc_array(mult)], None  # (group x text) tweet counts
+    groups = [sparse.csc_array(mult)]  # (group x text) tweet counts
     if community_of is not None:  # community codes, not ids, index the rows
         comm = np.fromiter((-1 if (c := community_of.get(a)) is None else comm_id[int(c)]
                             for a in accounts), np.intc, len(accounts))[aid]
         groups.append(sparse.csc_array((np.ones(np.count_nonzero(comm >= 0), np.int64),
                                         (comm[comm >= 0], tid[comm >= 0])),
                                        shape=(len(comm_id), len(texts))))
-    del tid, aid, side, accounts, comm
+        del comm
+    del tid, aid, side, accounts
     keep = np.zeros((0, 2), np.int8)  # per token: counted as a word, as a hashtag
     sums = [sparse.csr_array((g.shape[0], 0), dtype=np.int64) for g in groups]
     hits = {kw: np.zeros(len(texts), bool) for kw in keywords}
@@ -135,8 +136,9 @@ def scan_corpus(corpus: Sequence[TweetRecord], classes: Mapping[str, str],
         hi = lo + len(lengths)
         ids, ends = np.frombuffer(ids, np.intc), np.cumsum(lengths, dtype=np.intc)
         new = reversed(list(islice(reversed(vocab), len(vocab) - len(keep))))
-        keep = np.concatenate([keep, np.array([(t not in _STOPWORDS, t[0] == "#" and (
-            COLLECTION_TAG not in t.lower())) for t in new], np.int8).reshape(-1, 2)])
+        keep = np.concatenate([keep, np.array([
+            (t not in _STOPWORDS, t[0] == "#" and COLLECTION_TAG not in t.lower())
+            for t in new], np.int8).reshape(-1, 2)])
         for i, group in enumerate(groups):  # masked tokens add zeros, which drop out
             sums[i].resize((group.shape[0], len(vocab)))
             sums[i] = sums[i] + group[:, lo:hi] @ sparse.csr_array(
@@ -144,10 +146,10 @@ def scan_corpus(corpus: Sequence[TweetRecord], classes: Mapping[str, str],
         for kw, hit in hits.items():
             if (kw_id := vocab.get(kw)) is not None:
                 hit[lo + np.searchsorted(ends, np.flatnonzero(ids == kw_id), "right")] = True
-    tokens = list(vocab)
-    bags = [[Counter(dict(zip(map(tokens.__getitem__, m.indices[a:b].tolist()),
+    token_of = list(vocab)
+    bags = [[Counter(dict(zip(map(token_of.__getitem__, m.indices[a:b].tolist()),
                               m.data[a:b].tolist()))) for a, b in pairwise(m.indptr.tolist())]
-            for m in sums]
+            for m in sums]  # a Counter per row: side, then community
     return CorpusScan(
         dict(zip(_SIDES, bags[0])), n - int(mult.sum()),  # the excluded have no side
         None if community_of is None else {c: bag for c, bag in zip(comm_id, bags[1]) if bag},

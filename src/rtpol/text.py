@@ -115,15 +115,17 @@ def scan_corpus(corpus: Sequence[TweetRecord], classes: Mapping[str, str],
     side = np.fromiter((_SIDES.get(classes.get(a), 2) for a in accounts),
                        np.int8, len(accounts))[aid]
     mult = np.stack([np.bincount(tid[side == s], minlength=len(texts)) for s in (0, 1)])
-    groups = [sparse.csc_array(mult)]  # (group x text) tweet counts
-    if community_of is not None:  # community codes, not ids, index the rows
-        comm = np.fromiter((-1 if (c := community_of.get(a)) is None else comm_id[int(c)]
-                            for a in accounts), np.intc, len(accounts))[aid]
-        groups.append(sparse.csc_array((np.ones(np.count_nonzero(comm >= 0), np.int64),
-                                        (comm[comm >= 0], tid[comm >= 0])),
+    groups, skipped = [sparse.csc_array(mult)], 0  # (group x text) tweet counts
+    comm = None if community_of is None else np.fromiter(
+        (-1 if (c := community_of.get(a)) is None else comm_id[int(c)] for a in accounts),
+        np.intc, len(accounts))[aid]
+    del aid, side, accounts
+    if comm is not None:  # community codes, not ids, index the rows
+        comm, tid = comm[comm >= 0], tid[comm >= 0]  # frees the per-tweet arrays
+        skipped = n - comm.size
+        groups.append(sparse.csc_array((np.ones(comm.size, np.intc), (comm, tid)),
                                        shape=(len(comm_id), len(texts))))
-        del comm
-    del tid, aid, side, accounts
+    del tid, comm
     keep = np.zeros((0, 2), np.int8)  # per token: counted as a word, as a hashtag
     sums = [sparse.csr_array((g.shape[0], 0), dtype=np.int64) for g in groups]
     hits = {kw: np.zeros(len(texts), bool) for kw in keywords}
@@ -141,20 +143,19 @@ def scan_corpus(corpus: Sequence[TweetRecord], classes: Mapping[str, str],
             for t in new], np.int8).reshape(-1, 2)])
         for i, group in enumerate(groups):  # masked tokens add zeros, which drop out
             sums[i].resize((group.shape[0], len(vocab)))
-            sums[i] = sums[i] + group[:, lo:hi] @ sparse.csr_array(
+            sums[i] = sums[i] + group[:, lo:hi].astype(np.int64) @ sparse.csr_array(
                 (keep[ids, i], ids, np.append(np.intc(0), ends)), shape=(hi - lo, len(vocab)))
         for kw, hit in hits.items():
             if (kw_id := vocab.get(kw)) is not None:
                 hit[lo + np.searchsorted(ends, np.flatnonzero(ids == kw_id), "right")] = True
     token_of = list(vocab)
-    bags = [[Counter(dict(zip(map(token_of.__getitem__, m.indices[a:b].tolist()),
-                              m.data[a:b].tolist()))) for a, b in pairwise(m.indptr.tolist())]
-            for m in sums]  # a Counter per row: side, then community
+    del texts, groups, vocab
+    bags = [[Counter(dict(zip(map(token_of.__getitem__, m.indices[a:b]), map(int, m.data[a:b]))))
+             for a, b in pairwise(m.indptr.tolist())] for m in sums]  # side, then community
     return CorpusScan(
         dict(zip(_SIDES, bags[0])), n - int(mult.sum()),  # the excluded have no side
         None if community_of is None else {c: bag for c, bag in zip(comm_id, bags[1]) if bag},
-        0 if community_of is None else n - int(groups[1].sum()), _tally(mult),
-        {kw: _tally(mult[:, hit]) for kw, hit in hits.items()})
+        skipped, _tally(mult), {kw: _tally(mult[:, hit]) for kw, hit in hits.items()})
 
 
 def word_counts_by_class(scan: CorpusScan) -> WordCountTable:

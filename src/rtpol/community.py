@@ -18,6 +18,8 @@ repeats allowed), and otherwise each node alone in the module whose id is
 its position in the level's seeded order, so ids are tie-break ranks that
 renumbering nodes cannot change; ids minted later (n, n+1, ...) rank after
 them. The level takes its nodes from a queue that starts in label order,
+at level 0 with every node and later with the supernodes of two or more
+nodes (one left alone below found no better module, at the same totals),
 moving each to its best neighbouring module; a node that moves queues its
 neighbours outside its new module, in id order, and the level ends when
 the queue is empty (the Leiden "fast local move", Traag et al. 2019). The
@@ -205,6 +207,7 @@ def _multilevel(level, seed: int, start: Sequence[int] | None,
             raise InputError(f"start must hold {n0} integer labels in range({n0})")
 
     membership = np.arange(n0, dtype=np.int64)
+    held = np.ones(n0, dtype=bool)  # the nodes the level's queue starts with
     for depth in itertools.count():
         n = level.n
         labels = (start if depth == 0 and start is not None else
@@ -213,8 +216,8 @@ def _multilevel(level, seed: int, start: Sequence[int] | None,
         comm = labels.tolist()
         move = level.mover(comm)
         indptr, indices, _ = _csr_views(level.sym)
-        queue = deque(order.tolist())
-        queued = bytearray(b"\x01") * n
+        queue = deque(order[held[order]].tolist())
+        queued = bytearray(held)
         visits = moves = 0
         while queue:
             v = queue.popleft()
@@ -235,6 +238,7 @@ def _multilevel(level, seed: int, start: Sequence[int] | None,
         membership = labels[membership]
         if k == n:
             break
+        held = np.bincount(labels, minlength=k) > 1
         level = level.aggregate(labels, k)
     return Partition.from_labels(membership)
 

@@ -7,7 +7,8 @@ lines with `account`, `utc` (YYYY-MM-DDTHH:MM:SSZ; checked, not kept), `text`:
 one json scanner call per line, `json.loads` and field checks only to name a
 fault, into `TweetRecord` NamedTuples sharing one string per id and per text.
 Inputs are UTF-8 (BOM skipped); any parse error, bad bytes included, raises
-InputError with path and line.
+InputError with path and line, a CSV row's line being the one it starts on.
+Writers leave each cell to `csv`: a float by its repr, None as empty.
 """
 
 from __future__ import annotations
@@ -56,15 +57,17 @@ def open_utf8(path: Path, newline: str | None = None) -> Iterator[TextIO]:
         raise InputError("not UTF-8 text", path=path) from None
 
 
-def _csv_rows(fh: TextIO, path: Path) -> Iterator[list[str]]:
-    """csv.reader rows; a csv.Error, such as a field over the module's
-    size limit, raises InputError with the path and line."""
+def _csv_rows(fh: TextIO, path: Path) -> Iterator[tuple[int, list[str]]]:
+    """(start line, row) per csv.reader row; a csv.Error, such as a field
+    over the module's size limit, raises InputError at that row's line."""
     reader = csv.reader(fh)
+    line = 1
     try:
-        yield from reader
+        for row in reader:
+            yield line, row
+            line = reader.line_num + 1
     except csv.Error as exc:
-        raise InputError(f"malformed CSV: {exc}", path=path,
-                         line=reader.line_num) from None
+        raise InputError(f"malformed CSV: {exc}", path=path, line=line) from None
 
 
 def parse_edges(path: str | Path) -> list[EdgeRecord]:
@@ -104,7 +107,7 @@ def parse_followership(path: str | Path) -> tuple[FollowershipMatrix, int]:
     path = Path(path)
     with open_utf8(path, newline="") as fh:
         reader = _csv_rows(fh, path)
-        header = next(reader, None)
+        _, header = next(reader, (1, None))
         if header is None:
             raise InputError("file is empty", path=path, line=1)
         if len(header) < 2 or header[0] != "account_id":
@@ -117,7 +120,7 @@ def parse_followership(path: str | Path) -> tuple[FollowershipMatrix, int]:
         seen: set[str] = set()
         rows: list[list[int]] = []
         dropped = 0
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in reader:
             if not row:
                 continue
             if len(row) != len(media) + 1:
@@ -203,8 +206,7 @@ def _table_rows(path: Path, header: Sequence[str]) -> Iterator[tuple[int, list[s
     cell) not seen before."""
     seen: set[str] = set()
     with open_utf8(path, newline="") as fh:
-        rows = ((lineno, row) for lineno, row
-                in enumerate(_csv_rows(fh, path), start=1)
+        rows = ((lineno, row) for lineno, row in _csv_rows(fh, path)
                 if row and not row[0].startswith("#"))
         for i, (lineno, row) in enumerate(rows):
             if i == 0 and tuple(row) == tuple(header):
@@ -262,14 +264,6 @@ def parse_scores_csv(path: str | Path) -> MediaScores:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))  # numpy 2 reprs np.float64 as np.float64(...)
-    return str(value)
-
-
 def write_csv(path: str | Path, header: Sequence[str],
               rows: Iterable[Sequence], provenance: str) -> None:
     path = Path(path)
@@ -277,8 +271,7 @@ def write_csv(path: str | Path, header: Sequence[str],
         fh.write(f"# {provenance}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def write_json(path: str | Path, payload: dict) -> None:

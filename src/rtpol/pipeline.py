@@ -194,8 +194,7 @@ def write_loadings(path: Path, loadings: MediaLoadings, dropped: int,
 
 def write_partition(path: Path, g: RetweetGraph, part: Partition,
                     prov: str) -> None:
-    write_csv(path, ("node_id", "community"),
-              ((g.ids[i], int(part.assignment[i])) for i in range(g.n)), prov)
+    write_csv(path, ("node_id", "community"), zip(g.ids, part.assignment), prov)
 
 
 def write_profiles(path: Path, part: Partition, node_scores: np.ndarray,
@@ -221,7 +220,7 @@ CENTRALITY: dict[str, Callable[..., list[CentralityScores]]] = {
 def write_centrality(path: Path, g: RetweetGraph, cs: CentralityScores,
                      order: Iterable[int], prov: str) -> None:
     write_csv(path, ("node_id", "score"),
-              ((g.ids[i], float(cs.values[i])) for i in order), prov)
+              ((g.ids[i], cs.values[i]) for i in order), prov)
 
 
 def write_modular_degree(path: Path, g: RetweetGraph, assignment: Sequence[int],
@@ -230,7 +229,7 @@ def write_modular_degree(path: Path, g: RetweetGraph, assignment: Sequence[int],
     community; the ratio inter_in / intra_in is empty where intra_in is 0."""
     inter, intra = modular_degree_ratio(g, assignment)
     write_csv(path, ("node_id", "in_degree", "inter_in", "intra_in", "ratio"),
-              ((g.ids[i], int(g.in_strength[i]), inter[i], intra[i],
+              ((g.ids[i], g.in_strength[i], inter[i], intra[i],
                 inter[i] / intra[i] if intra[i] else None)
                for i in map(int, order)), prov)
 
@@ -357,7 +356,7 @@ def run_report(config: PipelineConfig) -> dict:
                              range(g.n), prov)
         write_csv(writer.path("rankings.csv"),
                   ("measure", "rank", "node_id", "score"),
-                  [(cs.kind, rank, g.ids[i], float(cs.values[i]))
+                  [(cs.kind, rank, g.ids[i], cs.values[i])
                    for cs in scores
                    for rank, i in enumerate(top_k(cs, config.top_k), start=1)],
                   prov)

@@ -7,13 +7,16 @@ text oracles are the exception: they take the tokenizer from src/ (it has
 tests of its own) and scan the corpus once per statistic, as the package
 did before its one-pass `scan_corpus`; `scan_corpus_runs` is that one-pass
 scan as it was before it counted token ids by block, and `parse_tweets_loads`
-the tweet reader before its scanner fast path. The profile oracle likewise takes
-the class rule and the Shannon index from src/ and scans the nodes once
-per community, as `community_profiles` did before it grouped by one sort.
+the tweet reader before its scanner fast path. `write_csv_cells` is the CSV
+writer as it was when it formatted each cell itself before handing the row
+to `csv`. The profile oracle likewise takes the class rule and the Shannon
+index from src/ and scans the nodes once per community, as
+`community_profiles` did before it grouped by one sort.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 from collections import Counter, defaultdict
 from datetime import datetime
@@ -573,3 +576,23 @@ def parse_tweets_loads(path) -> list[TweetRecord]:
                                  path=path, line=lineno) from None
             out.append(TweetRecord(obj["account"], obj["text"]))
     return out
+
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))  # numpy 2 reprs np.float64 as np.float64(...)
+    return str(value)
+
+
+def write_csv_cells(path, header, rows, provenance: str) -> None:
+    """A provenance comment, the header, then each row with every cell
+    turned into text here: None empty, any float by the repr of its
+    Python float, anything else by str."""
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        fh.write(f"# {provenance}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_cell(v) for v in row])

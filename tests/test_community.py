@@ -437,6 +437,24 @@ def test_multilevel_logs_each_level(caplog):
     assert records[-1].args["k"] == part.k == 2
 
 
+@pytest.mark.parametrize("optimize", [louvain, infomap])
+def test_later_levels_queue_only_merged_supernodes(caplog, optimize):
+    """A supernode that was one node alone at the level below already found
+    no better module there, so a later level's queue starts without it."""
+    cliques = [EdgeRecord(f"{side}{i}", f"{side}{j}")
+               for side in "ab" for i in range(5) for j in range(5) if i != j]
+    # z retweets only itself, so it has no neighbour and stays alone
+    g = build_graph(cliques + [EdgeRecord("a0", "b0"), EdgeRecord("z", "z")])
+    with caplog.at_level(logging.DEBUG, logger="rtpol.community"):
+        part = optimize(g, seed=0)
+    levels = [r.args for r in caplog.records if r.name == "rtpol.community"]
+    assert [(lv["n"], lv["k"]) for lv in levels] == [(g.n, 3), (3, 3)]
+    assert levels[1]["visits"] == 2  # the two cliques, not z
+    z = g.ids.index("z")
+    assert np.sum(part.assignment == part.assignment[z]) == 1
+    assert part.k == 3
+
+
 @st.composite
 def graphs_and_visits(draw):
     """n, (target, source, count) edges on range(n), self-loops allowed and

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import struct
 import tempfile
 from datetime import datetime
 from pathlib import Path
@@ -340,6 +341,36 @@ def test_csv_field_over_size_limit_is_input_error(tmp_path, parse, header,
     assert exc.value.path == p
     assert exc.value.line == 2
 
+
+# A quoted id that holds a line break makes a row two lines long: an error
+# names the line its row starts on.
+@pytest.mark.parametrize("parse, header, row, bad, message", [
+    (parse_partition_csv, "node_id,community", ",1", "c,x",
+     "community 'x' is not an integer"),
+    (parse_scores_csv, "account_id,score,class", ",0.5,right", "c,x,left",
+     "score 'x' is not a number"),
+    (parse_followership, "account_id,m1,m2", ",1,0", "c,1,2",
+     "column 2 must be 0 or 1, got '2'"),
+])
+def test_csv_errors_name_the_line_a_row_starts_on(tmp_path, parse, header, row,
+                                                   bad, message):
+    p = tmp_path / "input.csv"
+    p.write_text(f'{header}\n"a\nb"{row}\n{bad}\n')
+    with pytest.raises(InputError) as exc:
+        parse(p)
+    assert str(exc.value) == f"{p}:4: {message}"
+    # the fault on the two-line row itself: line 2, where that row starts
+    p.write_text(f'{header}\n"a\nb"{bad[1:]}\n')
+    with pytest.raises(InputError) as exc:
+        parse(p)
+    assert str(exc.value) == f"{p}:2: {message}"
+    # a field over the csv module's size limit, spread over seven lines
+    big = "\n".join(["x" * 20_000] * 7)
+    p.write_text(f'{header}\n"a\nb"{row}\n"{big}"{row}\n')
+    with pytest.raises(InputError) as exc:
+        parse(p)
+    assert str(exc.value) == f"{p}:4: malformed CSV: field larger than field limit (131072)"
+
 # ---------------------------------------------------------------------------
 # csv round trips and writers
 # ---------------------------------------------------------------------------
@@ -503,6 +534,31 @@ def test_write_csv_formats(tmp_path):
               provenance="x=1")
     lines = p.read_text().splitlines()
     assert lines == ["# x=1", "k,v", "pi,0.1", "none,", "i,7", "np,0.5"]
+
+
+#: floats whose text is easy to get wrong: specials, the signed zero, the
+#: smallest subnormal, and the points where repr switches to exponents
+_EDGE_FLOATS = (float("nan"), float("inf"), -float("inf"), -0.0, 5e-324,
+                1e16, 9999999999999998.0, 1e-4, 1e-5)
+_floats = st.one_of(
+    st.sampled_from(_EDGE_FLOATS),
+    st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]))
+_cells = st.one_of(
+    st.text(st.sampled_from('ab,"\n\r x')), st.text(max_size=5),
+    st.integers(-2**70, 2**70), st.integers(-2**63, 2**63 - 1).map(np.int64),
+    _floats, _floats.map(np.float64), st.none())
+
+
+@given(st.lists(st.lists(_cells, max_size=5), max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_write_csv_matches_the_per_cell_writer(rows):
+    """csv writes a float (np.float64 included) by its repr and None as an
+    empty field, as the writer that formatted each cell itself did."""
+    with tempfile.TemporaryDirectory() as tmp:
+        ours, ref = Path(tmp) / "ours.csv", Path(tmp) / "ref.csv"
+        write_csv(ours, ["a", "b"], rows, provenance="seed=0")
+        orc.write_csv_cells(ref, ["a", "b"], rows, provenance="seed=0")
+        assert ours.read_bytes() == ref.read_bytes()
 
 
 def test_write_json_sorted_and_newline(tmp_path):
